@@ -16,7 +16,7 @@ bench:
 	dune exec bench/main.exe
 
 # The perf baseline this PR gates against; each PR commits its own.
-BENCH_BASELINE = BENCH_10.json
+BENCH_BASELINE = BENCH_12.json
 
 # Machine-readable perf report, tracked across PRs.
 bench-json:

@@ -53,16 +53,17 @@ let set_of_line t line =
   if t.set_mask <> 0 then line land t.set_mask else line mod t.sets
 
 (* Index of the way holding [line], or -1.  Empty ways are -1, which
-   shifts to -1 and never equals a (non-negative) line. *)
+   shifts to -1 and never equals a (non-negative) line.  The scan is
+   top-level: an inner [let rec] capturing [data] would allocate its
+   closure on every lookup. *)
+let rec find_way data line i stop =
+  if i >= stop then -1
+  else if Array.unsafe_get data i asr 2 = line then i
+  else find_way data line (i + 1) stop
+
 let find t line =
   let base = set_of_line t line * t.assoc in
-  let n = t.assoc in
-  let rec go i =
-    if i >= n then -1
-    else if Array.unsafe_get t.data (base + i) asr 2 = line then base + i
-    else go (i + 1)
-  in
-  go 0
+  find_way t.data line base (base + t.assoc)
 
 let touch t j =
   t.clock <- t.clock + 1;
@@ -82,7 +83,7 @@ let install t addr st =
   if j >= 0 then begin
     t.data.(j) <- (line lsl 2) lor code st;
     touch t j;
-    None
+    -1
   end
   else begin
     let base = set_of_line t line * t.assoc in
@@ -98,14 +99,15 @@ let install t addr st =
       end
       else if (not !found_invalid) && t.lru.(j) < t.lru.(!vic) then vic := j
     done;
-    let evicted =
-      let e = t.data.(!vic) in
-      if e < 0 then None else Some (e asr 2, state_of_code.(e land 3))
-    in
+    let evicted = t.data.(!vic) in
     t.data.(!vic) <- (line lsl 2) lor code st;
     touch t !vic;
     evicted
   end
+
+let evicted_line e = e asr 2
+
+let evicted_state e = state_of_code.(e land 3)
 
 let set_state t addr st =
   let line = line_of_addr t addr in

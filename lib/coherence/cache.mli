@@ -14,10 +14,14 @@ val line_of_addr : t -> int -> int
 val lookup : t -> int -> state
 (** State of the line containing this address ([Invalid] if absent). *)
 
-val install : t -> int -> state -> (int * state) option
+val install : t -> int -> state -> int
 (** Install the line containing [addr] with the given state; LRU
-    within the set.  Returns the evicted [(line, state)] if a valid
-    line was displaced. *)
+    within the set.  Returns the displaced valid entry, packed so the
+    call allocates nothing (read it with {!evicted_line} and
+    {!evicted_state}), or [-1] if none was displaced. *)
+
+val evicted_line : int -> int
+val evicted_state : int -> state
 
 val set_state : t -> int -> state -> unit
 (** Change the state of a resident line (no-op if absent). *)

@@ -47,24 +47,38 @@ type counters = {
   data_msgs : int;
 }
 
-(* [DNone] is the Itbl dummy standing for "no directory entry". *)
-type dstate = DNone | DOwned of int | DShared of int list
+(* Directory state of a line, packed into one int so the tracked path
+   allocates nothing: [d_none] = no entry; otherwise bit [c + 1] is set
+   for each core [c] the directory lists, and bit 0 marks a single
+   owner (exactly one core bit).  Hence at most [max_cores] cores. *)
+let d_none = 0
+
+let max_cores = 62
+
+let core_bit c = 1 lsl (c + 1)
+
+let owned c = core_bit c lor 1
+
+(* The cores listed in [d] other than [core], as a mask with bit [c]
+   for core [c]. *)
+let others d core = (d land lnot (core_bit core)) lsr 1
+
+let rec low_bit bits c = if bits land 1 <> 0 then c else low_bit (bits lsr 1) (c + 1)
+
+let owner d = low_bit (d lsr 1) 0
 
 type t = {
   p : params;
   deact : deactivation;
   obs : Iw_obs.Obs.t;
   caches : Cache.t array;
-  dir : dstate Iw_engine.Itbl.t;
-  (* One [DOwned i] per core, reused for every directory write: the
-     single-owner state is by far the most common, and a shared block
-     stays cache-hot where a fresh allocation per miss would not. *)
-  owned : dstate array;
-  tracked_lines : unit Iw_engine.Itbl.t;
-  (* Direct-mapped filter in front of [tracked_lines]: marking is
-     idempotent, so skipping the table probe when the filter already
-     holds the line is a pure win.  The table can grow to megabytes
-     while the filter stays cache-resident.  -1 = empty (lines are
+  (* Packed state per line.  A key is present iff the line has ever
+     been coherence-tracked: writebacks store [d_none] instead of
+     removing the key, so this one table also answers [swmr_holds]. *)
+  dir : int Iw_engine.Itbl.t;
+  (* Direct-mapped filter in front of [dir]'s membership check:
+     marking is idempotent, so skipping the probe when the filter
+     already holds the line is a pure win.  -1 = empty (lines are
      non-negative). *)
   tracked_filter : int array;
   cycles : int array;
@@ -77,7 +91,9 @@ type t = {
   mutable c_wb : int;
   mutable c_ctrl_msgs : int;
   mutable c_data_msgs : int;
-  mutable energy : float;
+  (* One slot: a float field of this mixed record would be boxed on
+     every addition. *)
+  energy : float array;
 }
 
 let create ?obs ?params deact =
@@ -87,6 +103,10 @@ let create ?obs ?params deact =
     | Some p -> p
     | None -> default_params ~cores:24 ~cores_per_socket:12
   in
+  if p.cores > max_cores then
+    invalid_arg
+      (Printf.sprintf "Machine.create: %d cores, at most %d (one-int sharer mask)"
+         p.cores max_cores);
   {
     p;
     deact;
@@ -94,9 +114,7 @@ let create ?obs ?params deact =
     caches =
       Array.init p.cores (fun _ ->
           Cache.create ~size_kb:p.cache_kb ~ways:p.ways ~line_bytes:p.line_bytes);
-    dir = Iw_engine.Itbl.create ~capacity:(1 lsl 16) ~dummy:DNone ();
-    owned = Array.init p.cores (fun i -> DOwned i);
-    tracked_lines = Iw_engine.Itbl.create ~capacity:(1 lsl 16) ~dummy:() ();
+    dir = Iw_engine.Itbl.create ~capacity:(1 lsl 16) ~dummy:d_none ();
     tracked_filter = Array.make (1 lsl 15) (-1);
     cycles = Array.make p.cores 0;
     c_accesses = 0;
@@ -108,7 +126,7 @@ let create ?obs ?params deact =
     c_wb = 0;
     c_ctrl_msgs = 0;
     c_data_msgs = 0;
-    energy = 0.0;
+    energy = [| 0.0 |];
   }
 
 let params t = t.p
@@ -127,51 +145,47 @@ let home t line = line * 2654435761 mod t.p.cores |> abs
 let ctrl_msg t h =
   if h > 0 then begin
     t.c_ctrl_msgs <- t.c_ctrl_msgs + 1;
-    t.energy <- t.energy +. (t.p.ctrl_energy *. float_of_int h)
+    t.energy.(0) <- t.energy.(0) +. (t.p.ctrl_energy *. float_of_int h)
   end
 
 let data_msg t h =
   t.c_data_msgs <- t.c_data_msgs + 1;
-  if h > 0 then t.energy <- t.energy +. (t.p.data_energy *. float_of_int h)
+  if h > 0 then t.energy.(0) <- t.energy.(0) +. (t.p.data_energy *. float_of_int h)
 
 let charge t core c = t.cycles.(core) <- t.cycles.(core) + c
 
-(* Handle an eviction returned by Cache.install under tracked MESI. *)
-let tracked_evict t core = function
-  | None -> ()
-  | Some (line, st) -> (
-      match st with
-      | Cache.Modified ->
-          let h = hops t core (home t line) in
-          t.c_wb <- t.c_wb + 1;
-          data_msg t h;
-          Iw_engine.Itbl.remove t.dir line
-      | Cache.Exclusive | Cache.Shared_state ->
-          (* Silent drop; the directory may retain a stale sharer,
-             which later invalidations handle as no-ops. *)
-          ()
-      | Cache.Invalid -> ())
+(* [core]'s Modified copy of [line] goes home and the directory entry
+   is cleared.  The line may be a deactivated one, which must stay out
+   of [dir]. *)
+let writeback t core line =
+  t.c_wb <- t.c_wb + 1;
+  data_msg t (hops t core (home t line));
+  if Iw_engine.Itbl.mem t.dir line then Iw_engine.Itbl.set t.dir line d_none
 
-let deact_evict t core hint = function
-  | None -> ()
-  | Some (_line, Cache.Modified) ->
-      (* Write back to the local (private) or home (ro) memory. *)
-      let h = match hint with Private_to _ -> 0 | _ -> 1 in
-      t.c_wb <- t.c_wb + 1;
-      data_msg t h;
-      ignore core
-  | Some _ -> ()
+(* Handle an eviction returned by Cache.install under tracked MESI.
+   Clean (E/S) victims drop silently; the directory may retain a stale
+   sharer, which later invalidations handle as no-ops. *)
+let tracked_evict t core e =
+  if e >= 0 && Cache.evicted_state e = Cache.Modified then
+    writeback t core (Cache.evicted_line e)
 
-let sharers_of = function DNone -> [] | DOwned o -> [ o ] | DShared l -> l
+let deact_evict t hint e =
+  if e >= 0 && Cache.evicted_state e = Cache.Modified then begin
+    (* Write back to the local (private) or home (ro) memory. *)
+    let h = match hint with Private_to _ -> 0 | _ -> 1 in
+    t.c_wb <- t.c_wb + 1;
+    data_msg t h
+  end
 
 (* Invalidate one remote sharer through the directory: a request and
-   an ack, each [ho] hops.  Dir_drop_ack injection: the ack is lost on
-   the way home, so the directory times out and replays the
-   invalidation (a second request/ack pair) and the requester stalls
-   for the extra round trip.  The copy itself was already dropped by
-   the first request, so replaying can never create a second writer —
-   SWMR is preserved by construction and asserted by [swmr_holds]. *)
-let inval_sharer t plan ~core ~line ~addr ~far o =
+   an ack, each [ho] hops; returns [ho].  Dir_drop_ack injection: the
+   ack is lost on the way home, so the directory times out and replays
+   the invalidation (a second request/ack pair) and the requester
+   stalls for the extra round trip.  The copy itself was already
+   dropped by the first request, so replaying can never create a
+   second writer — SWMR is preserved by construction and asserted by
+   [swmr_holds]. *)
+let inval_sharer t plan ~core ~line ~addr o =
   t.c_inval <- t.c_inval + 1;
   let ho = hops t (home t line) o in
   ctrl_msg t ho;
@@ -187,16 +201,37 @@ let inval_sharer t plan ~core ~line ~addr ~far o =
     Iw_obs.Counter.incr t.obs.Iw_obs.Obs.counters Iw_obs.Counter.Dir_ack_retry;
     charge t core (t.p.inval_cost + (2 * ho * t.p.hop_latency))
   end;
-  far := max !far ho;
-  Cache.invalidate t.caches.(o) addr
+  Cache.invalidate t.caches.(o) addr;
+  ho
+
+(* Invalidate every core in [bits] (bit [o] = core [o]) in ascending
+   core order; returns the farthest hop count, [far] if none. *)
+let rec inval_sharers t plan ~core ~line ~addr bits o far =
+  if bits = 0 then far
+  else if bits land 1 = 0 then
+    inval_sharers t plan ~core ~line ~addr (bits lsr 1) (o + 1) far
+  else
+    let ho = inval_sharer t plan ~core ~line ~addr o in
+    inval_sharers t plan ~core ~line ~addr (bits lsr 1) (o + 1)
+      (if ho > far then ho else far)
 
 let is_deactivated t hint =
   match (t.deact, hint) with
-  | Off, _ -> false
-  | (Private_only | Private_and_ro), Private_to _ -> true
-  | Private_and_ro, Read_only -> true
-  | Private_only, Read_only -> false
-  | _, Shared_data -> false
+  | (Private_only | Private_and_ro), Private_to _ | Private_and_ro, Read_only -> true
+  | _ -> false
+
+(* The home's memory supplies the line. *)
+let mem_fetch t core hm =
+  charge t core t.p.mem_latency;
+  t.c_data <- t.c_data + 1;
+  data_msg t (max hm 1)
+
+(* Owner [o] supplies the line cache-to-cache, [extra] hops after the
+   request reached it. *)
+let owner_fetch t core o extra =
+  charge t core (t.p.cache_to_cache + ((extra + hops t o core) * t.p.hop_latency));
+  t.c_data <- t.c_data + 1;
+  data_msg t (max (hops t o core) 1)
 
 let access t ~core ~addr ~write ~hint =
   if core < 0 || core >= t.p.cores then invalid_arg "Machine.access: bad core";
@@ -211,11 +246,7 @@ let access t ~core ~addr ~write ~hint =
         invalid_arg "Machine.access: write to read-only-hinted data"
     | _ -> ());
     match Cache.lookup cache addr with
-    | Cache.Modified | Cache.Exclusive ->
-        t.c_hits <- t.c_hits + 1;
-        charge t core t.p.l1_hit;
-        if write then Cache.set_state cache addr Cache.Modified
-    | Cache.Shared_state ->
+    | Cache.Modified | Cache.Exclusive | Cache.Shared_state ->
         t.c_hits <- t.c_hits + 1;
         charge t core t.p.l1_hit;
         if write then Cache.set_state cache addr Cache.Modified
@@ -226,14 +257,15 @@ let access t ~core ~addr ~write ~hint =
         t.c_data <- t.c_data + 1;
         data_msg t h;
         let st = if write then Cache.Modified else Cache.Exclusive in
-        deact_evict t core hint (Cache.install cache addr st)
+        deact_evict t hint (Cache.install cache addr st)
   end
   else begin
     (* Tracked MESI through the directory. *)
     let fi = (line * 2654435761) lsr 16 land ((1 lsl 15) - 1) in
     if Array.unsafe_get t.tracked_filter fi <> line then begin
       Array.unsafe_set t.tracked_filter fi line;
-      Iw_engine.Itbl.set t.tracked_lines line ()
+      if not (Iw_engine.Itbl.mem t.dir line) then
+        Iw_engine.Itbl.set t.dir line d_none
     end;
     (* Spurious shootdown injection: the line vanishes from this
        core's cache as if a remote invalidation hit it.  A Modified
@@ -251,28 +283,19 @@ let access t ~core ~addr ~write ~hint =
        match Cache.lookup cache addr with
        | Cache.Invalid -> ()
        | st ->
-           if st = Cache.Modified then begin
-             let h = hops t core (home t line) in
-             t.c_wb <- t.c_wb + 1;
-             data_msg t h;
-             Iw_engine.Itbl.remove t.dir line
-           end;
+           if st = Cache.Modified then writeback t core line;
            Cache.invalidate cache addr;
            charge t core t.p.inval_cost);
     match (Cache.lookup cache addr, write) with
-    | (Cache.Modified | Cache.Exclusive), false ->
-        t.c_hits <- t.c_hits + 1;
-        charge t core t.p.l1_hit
-    | Cache.Modified, true ->
+    | (Cache.Modified | Cache.Exclusive), false
+    | Cache.Modified, true
+    | Cache.Shared_state, false ->
         t.c_hits <- t.c_hits + 1;
         charge t core t.p.l1_hit
     | Cache.Exclusive, true ->
         t.c_hits <- t.c_hits + 1;
         charge t core t.p.l1_hit;
         Cache.set_state cache addr Cache.Modified
-    | Cache.Shared_state, false ->
-        t.c_hits <- t.c_hits + 1;
-        charge t core t.p.l1_hit
     | Cache.Shared_state, true ->
         (* Upgrade: invalidate the other sharers via the directory. *)
         t.c_hits <- t.c_hits + 1;
@@ -282,14 +305,10 @@ let access t ~core ~addr ~write ~hint =
         let hm = hops t core (home t line) in
         ctrl_msg t hm;
         charge t core ((2 * hm * t.p.hop_latency) + t.p.dir_lookup);
-        (* Single probe: read the sharer set and claim ownership. *)
-        let prev =
-          Iw_engine.Itbl.mutate t.dir line (fun _ -> t.owned.(core))
-        in
-        let others = List.filter (fun c -> c <> core) (sharers_of prev) in
-        let far = ref 0 in
-        List.iter (inval_sharer t plan ~core ~line ~addr ~far) others;
-        charge t core (t.p.inval_cost + (2 * !far * t.p.hop_latency));
+        let prev = Iw_engine.Itbl.find t.dir line in
+        Iw_engine.Itbl.set t.dir line (owned core);
+        let far = inval_sharers t plan ~core ~line ~addr (others prev core) 0 0 in
+        charge t core (t.p.inval_cost + (2 * far * t.p.hop_latency));
         Cache.set_state cache addr Cache.Modified
     | Cache.Invalid, _ ->
         t.c_misses <- t.c_misses + 1;
@@ -299,106 +318,73 @@ let access t ~core ~addr ~write ~hint =
         let hm = hops t core (home t line) in
         ctrl_msg t hm;
         charge t core ((2 * hm * t.p.hop_latency) + t.p.dir_lookup);
-        let install st =
-          tracked_evict t core (Cache.install cache addr st)
-        in
-        (* Single probe: the next directory state is a pure function
-           of the previous one, so read-modify-write in one pass and
-           base the protocol side effects on the returned old state. *)
-        let prev =
-          Iw_engine.Itbl.mutate t.dir line (fun d ->
-              if write then t.owned.(core)
-              else
-                match d with
-                | DNone -> t.owned.(core)
-                | DOwned o when o <> core -> DShared [ o; core ]
-                | DOwned _ -> t.owned.(core)
-                | DShared l -> DShared (core :: List.filter (fun c -> c <> core) l))
-        in
-        (match prev with
-        | DNone ->
-            (* Memory at the home supplies the line. *)
-            charge t core t.p.mem_latency;
-            t.c_data <- t.c_data + 1;
-            data_msg t (max hm 1);
-            install (if write then Cache.Modified else Cache.Exclusive)
-        | d ->
-            let sharers = List.filter (fun c -> c <> core) (sharers_of d) in
-            if write then begin
-              (* Invalidate everyone; data comes cache-to-cache from
-                 the owner when there is one. *)
-              let far = ref 0 in
-              List.iter (inval_sharer t plan ~core ~line ~addr ~far) sharers;
-              (match (d, sharers) with
-              | DOwned o, _ when o <> core ->
-                  charge t core
-                    (t.p.cache_to_cache + (hops t o core * t.p.hop_latency));
-                  t.c_data <- t.c_data + 1;
-                  data_msg t (max (hops t o core) 1)
-              | _ ->
-                  charge t core t.p.mem_latency;
-                  t.c_data <- t.c_data + 1;
-                  data_msg t (max hm 1));
-              charge t core (t.p.inval_cost + (2 * !far * t.p.hop_latency));
-              install Cache.Modified
+        (* A reader joins the cores listed for a line someone else
+           holds; anyone else becomes its single owner.  The protocol
+           side effects follow the previous state. *)
+        let prev = Iw_engine.Itbl.find t.dir line in
+        Iw_engine.Itbl.set t.dir line
+          (if write || prev = d_none || prev = owned core then owned core
+           else (prev land lnot 1) lor core_bit core);
+        (* The other core owning the line, or -1. *)
+        let o = if prev land 1 <> 0 && prev <> owned core then owner prev else -1 in
+        let st =
+          if prev = d_none then begin
+            mem_fetch t core hm;
+            if write then Cache.Modified else Cache.Exclusive
+          end
+          else if write then begin
+            (* Invalidate everyone; data comes cache-to-cache from the
+               owner when there is one. *)
+            let far = inval_sharers t plan ~core ~line ~addr (others prev core) 0 0 in
+            if o >= 0 then owner_fetch t core o 0 else mem_fetch t core hm;
+            charge t core (t.p.inval_cost + (2 * far * t.p.hop_latency));
+            Cache.Modified
+          end
+          else if o < 0 then begin
+            mem_fetch t core hm;
+            Cache.Shared_state
+          end
+          else begin
+            let fwd = hops t (home t line) o in
+            if
+              (* Stale directory entry: the named owner silently
+                 dropped its copy, so the forward bounces.  A Modified
+                 copy is written back as part of the drop (the fault
+                 may not lose data); recovery is one layer up in the
+                 protocol — the home nacks the forward and memory
+                 supplies the line. *)
+              Iw_faults.Plan.enabled plan
+              && Iw_faults.Plan.fire plan t.obs ~kind:Iw_faults.Plan.Dir_stale
+                   ~cpu:core ~ts:t.cycles.(core)
+            then begin
+              if Cache.lookup t.caches.(o) addr = Cache.Modified then begin
+                t.c_wb <- t.c_wb + 1;
+                data_msg t fwd
+              end;
+              Cache.invalidate t.caches.(o) addr;
+              ctrl_msg t fwd;
+              (* nack back to the home *)
+              ctrl_msg t fwd;
+              Iw_obs.Counter.incr t.obs.Iw_obs.Obs.counters
+                Iw_obs.Counter.Dir_stale_refetch;
+              charge t core (((2 * fwd) + (2 * hm)) * t.p.hop_latency);
+              mem_fetch t core hm
             end
             else begin
-              (match d with
-              | DNone -> assert false (* handled by the outer match *)
-              | DOwned o when o <> core ->
-                  let fwd = hops t (home t line) o in
-                  let stale =
-                    (* Stale directory entry: the named owner silently
-                       dropped its copy, so the forward bounces.  A
-                       Modified copy is written back as part of the
-                       drop (the fault may not lose data); recovery is
-                       one layer up in the protocol — the home nacks
-                       the forward and memory supplies the line. *)
-                    Iw_faults.Plan.enabled plan
-                    && Iw_faults.Plan.fire plan t.obs
-                         ~kind:Iw_faults.Plan.Dir_stale ~cpu:core
-                         ~ts:t.cycles.(core)
-                  in
-                  if stale then begin
-                    if Cache.lookup t.caches.(o) addr = Cache.Modified
-                    then begin
-                      t.c_wb <- t.c_wb + 1;
-                      data_msg t fwd
-                    end;
-                    Cache.invalidate t.caches.(o) addr;
-                    ctrl_msg t fwd;
-                    (* nack back to the home *)
-                    ctrl_msg t fwd;
-                    Iw_obs.Counter.incr t.obs.Iw_obs.Obs.counters
-                      Iw_obs.Counter.Dir_stale_refetch;
-                    charge t core
-                      (t.p.mem_latency
-                      + ((2 * fwd) + (2 * hm)) * t.p.hop_latency);
-                    t.c_data <- t.c_data + 1;
-                    data_msg t (max hm 1)
-                  end
-                  else begin
-                    (* Forward; owner downgrades, modified data written
-                       back home. *)
-                    ctrl_msg t fwd;
-                    charge t core
-                      (t.p.cache_to_cache
-                      + ((fwd + hops t o core) * t.p.hop_latency));
-                    t.c_data <- t.c_data + 1;
-                    data_msg t (max (hops t o core) 1);
-                    if Cache.lookup t.caches.(o) addr = Cache.Modified
-                    then begin
-                      t.c_wb <- t.c_wb + 1;
-                      data_msg t fwd
-                    end;
-                    Cache.set_state t.caches.(o) addr Cache.Shared_state
-                  end
-              | DOwned _ | DShared _ ->
-                  charge t core t.p.mem_latency;
-                  t.c_data <- t.c_data + 1;
-                  data_msg t (max hm 1));
-              install Cache.Shared_state
-            end)
+              (* Forward; owner downgrades, modified data written back
+                 home. *)
+              ctrl_msg t fwd;
+              owner_fetch t core o fwd;
+              if Cache.lookup t.caches.(o) addr = Cache.Modified then begin
+                t.c_wb <- t.c_wb + 1;
+                data_msg t fwd
+              end;
+              Cache.set_state t.caches.(o) addr Cache.Shared_state
+            end;
+            Cache.Shared_state
+          end
+        in
+        tracked_evict t core (Cache.install cache addr st)
   end
 
 let core_cycles t core = t.cycles.(core)
@@ -426,7 +412,7 @@ let counters t =
     data_msgs = t.c_data_msgs;
   }
 
-let interconnect_energy t = t.energy
+let interconnect_energy t = t.energy.(0)
 
 (* Single-writer-multiple-reader: for every line that has ever been
    coherence-tracked, an M or E copy in one cache excludes any copy in
@@ -436,7 +422,7 @@ let swmr_holds t =
   Array.iteri
     (fun core cache ->
       Cache.fold cache ~init:() ~f:(fun () line st ->
-          if Iw_engine.Itbl.mem t.tracked_lines line then begin
+          if Iw_engine.Itbl.mem t.dir line then begin
             let cur = try Hashtbl.find holders line with Not_found -> [] in
             Hashtbl.replace holders line ((core, st) :: cur)
           end))

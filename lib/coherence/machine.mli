@@ -48,6 +48,8 @@ type counters = {
 type t
 
 val create : ?obs:Iw_obs.Obs.t -> ?params:params -> deactivation -> t
+(** Raises [Invalid_argument] above 62 cores (one-int sharer masks). *)
+
 val params : t -> params
 val access : t -> core:int -> addr:int -> write:bool -> hint:hint -> unit
 val core_cycles : t -> int -> int

@@ -45,6 +45,9 @@ type row = {
   deact_invalidations : int;
 }
 
+val gen_access : mix -> Iw_engine.Rng.t -> core:int -> int * bool * Machine.hint
+(** One access [(addr, write, hint)] of [core]'s stream under [mix]. *)
+
 val run_bench :
   ?seed:int -> params:Machine.params -> Machine.deactivation -> bench -> Machine.t
 (** Replay the benchmark's streams on a fresh machine. *)

@@ -5,7 +5,7 @@
    (directory state keyed by cache line, per-time sequence counters)
    that shows up directly in experiment wall time.  This table keeps
    keys in a flat int array with linear probing, so a lookup is a
-   multiply, a mask and (usually) one array read. *)
+   multiply, a shift-xor, a mask and (usually) one array read. *)
 
 type 'v t = {
   dummy : 'v;
@@ -32,7 +32,15 @@ let check_key k =
 
 let fib = 0x2545F4914F6CDD1D (* 64-bit mix constant, truncated to 63 bits *)
 
-let slot_of t k = (k * fib) land t.mask
+(* The low bits of [k * fib] depend only on the low bits of [k], so
+   keys that differ only in high bits (the coherence directory's
+   per-core regions, [(c + 1) lsl 24 + off]) would share one probe
+   cluster; folding the high half down spreads them. *)
+let hash mask k =
+  let h = k * fib in
+  (h lxor (h lsr 32)) land mask
+
+let slot_of t k = hash t.mask k
 
 let rec ceil_pow2 n c = if c >= n then c else ceil_pow2 n (c * 2)
 
@@ -89,7 +97,8 @@ let iter f t =
    ping-ponging between two buffers kept on the table (the retired
    buffer is wiped and becomes the next spare), so steady-state
    tombstone collection allocates nothing at all.  A genuinely growing
-   table (live ≈ used) still doubles; capacity never shrinks. *)
+   table (live ≈ used) still doubles, dropping both smaller buffers:
+   capacity never shrinks, so they could never be reused. *)
 let rec rehash_ins keys vals mask k v j =
   if Array.unsafe_get keys j = empty_key then begin
     Array.unsafe_set keys j k;
@@ -117,16 +126,21 @@ let resize t =
   for i = 0 to Array.length old_keys - 1 do
     let k = Array.unsafe_get old_keys i in
     if k > tomb_key then
-      rehash_ins keys vals mask k (Array.unsafe_get old_vals i)
-        ((k * fib) land mask)
+      rehash_ins keys vals mask k (Array.unsafe_get old_vals i) (hash mask k)
   done;
-  (* Retire the old buffer as a clean spare so the next same-size
-     rehash is allocation-free (and stale values don't pin their
-     referents). *)
-  Array.fill old_keys 0 (Array.length old_keys) empty_key;
-  Array.fill old_vals 0 (Array.length old_vals) t.dummy;
-  t.spare_keys <- old_keys;
-  t.spare_vals <- old_vals
+  if cap = cur then begin
+    (* Retire the old buffer as a clean spare so the next same-size
+       rehash is allocation-free (and stale values don't pin their
+       referents). *)
+    Array.fill old_keys 0 cur empty_key;
+    Array.fill old_vals 0 cur t.dummy;
+    t.spare_keys <- old_keys;
+    t.spare_vals <- old_vals
+  end
+  else begin
+    t.spare_keys <- [||];
+    t.spare_vals <- [||]
+  end
 
 (* Insert at the end of a failed probe, recycling a tombstone on the
    probe path when one exists.  Top-level loop for the same reason as

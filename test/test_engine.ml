@@ -240,6 +240,103 @@ let prop_int_heap_sorts =
       in
       drain [] = List.sort compare keys)
 
+(* Itbl against Stdlib.Hashtbl as a model.  Keys mix small ints, the
+   coherence directory's per-core shape [(c lsl 24) + i] (distinct
+   only in high bits) and wide random ints; [Churn] inserts and
+   removes a run of keys so tombstones force same-capacity rehashes,
+   and insert-heavy sequences grow the table past several doublings
+   from its minimum capacity.  [length] is checked after every op. *)
+type itbl_op =
+  | Set of int * int
+  | Mutate of int * int
+  | Remove of int
+  | Find of int
+  | Mem of int
+  | Iter
+  | Churn of int * int
+
+let show_itbl_op = function
+  | Set (k, v) -> Printf.sprintf "set %d %d" k v
+  | Mutate (k, d) -> Printf.sprintf "mutate %d +%d" k d
+  | Remove k -> Printf.sprintf "remove %d" k
+  | Find k -> Printf.sprintf "find %d" k
+  | Mem k -> Printf.sprintf "mem %d" k
+  | Iter -> "iter"
+  | Churn (k, n) -> Printf.sprintf "churn %d x%d" k n
+
+let arb_itbl_ops =
+  let open QCheck.Gen in
+  let key =
+    frequency
+      [
+        (3, int_bound 40);
+        (4, map2 (fun c i -> (c lsl 24) + i) (int_range 1 24) (int_bound 300));
+        (1, int_range (-(1 lsl 40)) (1 lsl 40));
+      ]
+  in
+  let op =
+    frequency
+      [
+        (5, map2 (fun k v -> Set (k, v)) key small_nat);
+        (2, map2 (fun k d -> Mutate (k, d)) key small_nat);
+        (4, map (fun k -> Remove k) key);
+        (2, map (fun k -> Find k) key);
+        (1, map (fun k -> Mem k) key);
+        (1, return Iter);
+        (1, map2 (fun k n -> Churn (k, n)) key (int_range 1 64));
+      ]
+  in
+  QCheck.make
+    ~print:(QCheck.Print.list show_itbl_op)
+    (list_size (int_range 0 1500) op)
+
+let prop_itbl_matches_hashtbl =
+  QCheck.Test.make ~name:"itbl agrees with Hashtbl" ~count:200 arb_itbl_ops
+    (fun ops ->
+      let t = Itbl.create ~capacity:8 ~dummy:(-1) () in
+      let m = Hashtbl.create 16 in
+      let find k = Option.value (Hashtbl.find_opt m k) ~default:(-1) in
+      let set k v =
+        Itbl.set t k v;
+        Hashtbl.replace m k v
+      in
+      let remove k =
+        Itbl.remove t k;
+        Hashtbl.remove m k
+      in
+      let bindings () =
+        let l = ref [] in
+        Itbl.iter (fun k v -> l := (k, v) :: !l) t;
+        List.sort compare !l
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Set (k, v) -> set k v
+          | Mutate (k, d) ->
+              let old = Itbl.mutate t k (fun v -> v + d) in
+              if old <> find k then QCheck.Test.fail_reportf "mutate %d old" k;
+              Hashtbl.replace m k (find k + d)
+          | Remove k -> remove k
+          | Find k ->
+              if Itbl.find t k <> find k then QCheck.Test.fail_reportf "find %d" k
+          | Mem k ->
+              if Itbl.mem t k <> Hashtbl.mem m k then
+                QCheck.Test.fail_reportf "mem %d" k
+          | Iter ->
+              if bindings ()
+                 <> List.sort compare (Hashtbl.fold (fun k v l -> (k, v) :: l) m [])
+              then QCheck.Test.fail_reportf "iter"
+          | Churn (k, n) ->
+              for j = 0 to n - 1 do
+                set (k + j) j;
+                remove (k + j)
+              done);
+          Itbl.length t = Hashtbl.length m)
+        ops
+      && List.length (bindings ()) = Hashtbl.length m
+      && Hashtbl.fold (fun k v ok -> ok && Itbl.find t k = v) m true)
+
 let test_wheel_order () =
   let w = Timer_wheel.create () in
   let fired = ref [] in
@@ -560,6 +657,7 @@ let () =
         [
           Alcotest.test_case "ekey roundtrip" `Quick test_ekey_roundtrip;
           q prop_int_heap_sorts;
+          q prop_itbl_matches_hashtbl;
           Alcotest.test_case "timer wheel order" `Quick test_wheel_order;
           Alcotest.test_case "wheel cancel after fire" `Quick
             test_wheel_cancel_after_fire;
