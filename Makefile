@@ -39,7 +39,7 @@ perf-budget: bench-baseline
 # A short serve run that fails if the hot path allocates more than the
 # committed budget of minor-heap words per completed request.  The
 # steady state allocates nothing; the budget leaves room for warmup
-# (arena/queue/timer growth to the high-water mark, ~29k words)
+# (arena/queue/timer growth to the high-water mark, ~2k words)
 # amortized over ~100k requests.
 alloc-smoke:
 	dune exec bin/main.exe -- serve --rps 250000 --duration 400 \
@@ -136,15 +136,12 @@ series-update:
 	dune exec bin/main.exe -- serve $(SERIES_ARGS) \
 	  --series-csv golden/fleet.series.csv > /dev/null
 
-# The graceful-degradation gate:
-#  1. the R5-R8 chaos curves match their committed goldens (counters
-#     AND span shapes), so every injection and every recovery stays
-#     visible to the trace plane;
-#  2. a recovery knob that is merely *present* (a deadline with
-#     hedging and admission off) leaves a fleet run byte-identical --
-#     the degradation machinery prices at zero until it engages.
+# The graceful-degradation gate: a recovery knob that is merely
+# *present* (a deadline with hedging and admission off) leaves a fleet
+# run byte-identical -- the degradation machinery prices at zero until
+# it engages.  The R5-R8 chaos-curve goldens (counters AND span shapes)
+# are gated once, by golden-check.
 degrade-smoke:
-	dune exec bin/main.exe -- golden --check --spans R5 R6 R7 R8
 	dune exec bin/main.exe -- serve --hetero 1xknl:4+1xsrv:2 \
 	  --rps 150000 --duration 10 --work-us 20 \
 	  --csv /tmp/degrade_base.csv > /dev/null
@@ -153,14 +150,13 @@ degrade-smoke:
 	  --csv /tmp/degrade_inert.csv > /dev/null
 	cmp /tmp/degrade_base.csv /tmp/degrade_inert.csv
 
-# The NIC gate, four claims end to end:
-#  1. the N1/N2 device studies match their goldens (counters + spans);
-#  2. `faults --list-kinds` names every NIC fault kind;
-#  3. NIC knobs without --nic are inert (fleet CSV byte-identical);
-#  4. arming the NIC fault kinds at rate 0 changes nothing (the
+# The NIC gate, three claims end to end (the N1/N2 device-study
+# goldens are gated once, by golden-check):
+#  1. `faults --list-kinds` names every NIC fault kind;
+#  2. NIC knobs without --nic are inert (fleet CSV byte-identical);
+#  3. arming the NIC fault kinds at rate 0 changes nothing (the
 #     recovery slack scan prices at zero until a fault actually fires).
 nic-smoke:
-	dune exec bin/main.exe -- golden --check --spans N1 N2
 	dune exec bin/main.exe -- faults --list-kinds > /tmp/nic_kinds.txt
 	grep -q '^nic-rx-drop$$' /tmp/nic_kinds.txt
 	grep -q '^nic-irq-lost$$' /tmp/nic_kinds.txt

@@ -808,279 +808,228 @@ let faults_cmd =
     Term.(
       const run $ id $ rate $ seed $ kinds $ check $ rates $ csv $ list_kinds)
 
+(* A [serve] output column: its header and its cell renderer, kept
+   together so adding a column is one entry.  Optional groups are
+   spliced in with [on flag]. *)
+let on cond cols = if cond then cols else []
+let icol name f = (name, fun r -> string_of_int (f r))
+let fcol name fmt f = (name, fun r -> Printf.sprintf fmt (f r))
+
+(* The one row path for both serving planes: align the rows on stdout,
+   run [detail] (the fleet's per-machine breakdown), then write the
+   --csv and --series-csv files. *)
+let emit ~csv ~series_csv ?(detail = ignore) ~series cols reports =
+  let rows =
+    List.map fst cols
+    :: List.map (fun r -> List.map (fun (_, cell) -> cell r) cols) reports
+  in
+  let widths =
+    List.fold_left
+      (List.map2 (fun w c -> max w (String.length c)))
+      (List.map (fun _ -> 0) cols)
+      rows
+  in
+  List.iter
+    (fun row ->
+      print_endline
+        (String.concat "  " (List.map2 (Printf.sprintf "%*s") widths row)))
+    rows;
+  detail reports;
+  Option.iter
+    (fun path ->
+      let oc = open_out path in
+      List.iter (fun row -> output_string oc (String.concat "," row ^ "\n")) rows;
+      close_out oc;
+      Printf.printf "wrote %s: %d rows\n" path (List.length reports))
+    csv;
+  Option.iter
+    (fun path ->
+      match List.map series reports with
+      | [ Some s ] ->
+          Iw_obs.Series.write_csv s path;
+          Printf.printf "wrote %s: %d samples (%d dropped)\n" path
+            (Iw_obs.Series.length s) (Iw_obs.Series.dropped s)
+      | [ None ] -> die "serve: --series-csv needs --sample-us > 0"
+      | _ -> die "serve: --series-csv needs a single --rps")
+    series_csv
+
+(* COUNTxKIND[:WORKERS] tokens joined by '+', e.g. 2xknl:4+2xsrv:2. *)
+let parse_hetero s =
+  let parse_tok tok =
+    let count, rest =
+      match String.index_opt tok 'x' with
+      | Some i ->
+          ( (match int_of_string_opt (String.sub tok 0 i) with
+            | Some c when c > 0 -> c
+            | _ -> die "serve: bad count in --hetero token %s" tok),
+            String.sub tok (i + 1) (String.length tok - i - 1) )
+      | None -> die "serve: --hetero token %s is not COUNTxKIND" tok
+    in
+    let kind, wk =
+      match String.index_opt rest ':' with
+      | Some i -> (
+          ( String.sub rest 0 i,
+            match
+              int_of_string_opt (String.sub rest (i + 1) (String.length rest - i - 1))
+            with
+            | Some w when w > 0 -> Some w
+            | _ -> die "serve: bad worker count in --hetero token %s" tok ))
+      | None -> (rest, None)
+    in
+    let spec =
+      match kind with
+      | "knl" -> Iw_service.Fleet.knl_spec ?workers:wk ()
+      | "srv" -> Iw_service.Fleet.server_spec ?workers:wk ()
+      | k -> die "serve: unknown machine kind %s in --hetero (knl, srv)" k
+    in
+    List.init count (fun _ -> spec)
+  in
+  List.concat_map parse_tok (String.split_on_char '+' (String.trim s))
+
+(* pareto:ALPHA:MIN:MAX or lognorm:MEDIAN:SIGMA, in microseconds. *)
+let parse_tail s =
+  let fl tok what =
+    match float_of_string_opt tok with
+    | Some f -> f
+    | None -> die "serve: bad %s %s in --tail" what tok
+  in
+  match String.split_on_char ':' (String.trim s) with
+  | [ "pareto"; a; mn; mx ] ->
+      Iw_service.Workload.Dpareto
+        { alpha = fl a "alpha"; xmin_us = fl mn "min"; xmax_us = fl mx "max" }
+  | [ "lognorm"; med; sg ] ->
+      Iw_service.Workload.Dlognorm
+        { median_us = fl med "median"; sigma = fl sg "sigma" }
+  | _ -> die "serve: --tail wants pareto:ALPHA:MIN:MAX or lognorm:MEDIAN:SIGMA"
+
 let serve_cmd =
-  let os_a =
-    Arg.(
-      value & opt string "nk"
-      & info [ "os" ] ~docv:"OS" ~doc:"OS personality: nk or linux")
-  in
-  let backend_a =
-    Arg.(
-      value & opt string "fiber"
-      & info [ "backend" ] ~docv:"B"
-          ~doc:"Request execution backend: fiber or virtine")
-  in
-  let policy_a =
-    Arg.(
-      value & opt string "po2"
-      & info [ "policy" ] ~docv:"P"
-          ~doc:"Dispatch policy: rr, random, jsq, po2 or wjsq")
-  in
-  let order_a =
-    Arg.(
-      value & opt string "fifo"
-      & info [ "order" ] ~docv:"O" ~doc:"Queue order: fifo or priority")
-  in
-  let workers_a =
-    Arg.(
-      value & opt int 8
-      & info [ "workers" ] ~docv:"N" ~doc:"Worker CPUs (one queue each)")
-  in
-  let rps_a =
-    Arg.(
-      value
-      & opt_all float [ 20_000.0 ]
-      & info [ "rps" ] ~docv:"R"
-          ~doc:"Offered load in requests/s; repeat for a sweep (one row each)")
-  in
-  let duration_a =
-    Arg.(
-      value & opt float 100.0
-      & info [ "duration" ] ~docv:"MS" ~doc:"Run length in milliseconds")
-  in
-  let work_a =
-    Arg.(
-      value & opt float 150.0
-      & info [ "work-us" ] ~docv:"US" ~doc:"Request body service demand")
-  in
-  let cap_a =
-    Arg.(
-      value & opt int 64
-      & info [ "cap" ] ~docv:"N" ~doc:"Per-worker queue bound (drop-tail)")
-  in
-  let pool_a =
-    Arg.(
-      value & opt int 16
-      & info [ "pool" ] ~docv:"N" ~doc:"Virtine warm-pool size (virtine backend)")
-  in
-  let hi_frac_a =
-    Arg.(
-      value & opt float 0.0
-      & info [ "hi-frac" ] ~docv:"F"
-          ~doc:"Fraction of requests marked high priority")
-  in
-  let bursty_a =
-    Arg.(
-      value & flag
-      & info [ "bursty" ]
-          ~doc:
-            "MMPP on/off arrivals (phases of 1.8x / 0.2x the given rate, 5 ms \
-             mean dwell) instead of Poisson")
-  in
-  let closed_a =
-    Arg.(
-      value & opt int 0
-      & info [ "closed" ] ~docv:"N"
-          ~doc:"Closed loop with $(docv) clients instead of open-loop arrivals")
-  in
-  let think_a =
-    Arg.(
-      value & opt float 500.0
-      & info [ "think-us" ] ~docv:"US" ~doc:"Closed-loop client think time")
-  in
-  let csv_a =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "csv" ] ~docv:"PATH" ~doc:"Also write the rows as CSV")
-  in
-  let alloc_budget_a =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "alloc-budget" ] ~docv:"W"
-          ~doc:
-            "Print the run-phase allocation profile and fail if any row \
-             exceeds $(docv) minor-heap words per completed request")
-  in
-  let seed_a =
-    Arg.(
-      value & opt int 42
-      & info [ "plane-seed" ] ~docv:"N"
-          ~doc:"Service-plane seed (arrivals, dispatch, kernel boot)")
-  in
-  let machines_a =
-    Arg.(
-      value & opt int 0
-      & info [ "machines" ] ~docv:"N"
-          ~doc:
-            "Serve from a fleet of $(docv) identical knl-like machines \
-             behind a balancing front tier over a modeled network \
-             (0 = the single-machine plane)")
-  in
-  let hetero_a =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "hetero" ] ~docv:"SPEC"
-          ~doc:
-            "Heterogeneous fleet spec: COUNTxKIND[:WORKERS] joined by '+', \
-             e.g. 2xknl:4+2xsrv:2 (kinds: knl, srv); implies fleet mode")
-  in
-  let net_lat_a =
-    Arg.(
-      value & opt float 15.0
-      & info [ "net-lat" ] ~docv:"US"
-          ~doc:"Fleet link one-way latency (also the sync window)")
-  in
-  let net_bw_a =
-    Arg.(
-      value & opt float 10.0
-      & info [ "net-bw" ] ~docv:"GBPS" ~doc:"Fleet link bandwidth per direction")
-  in
-  let gossip_us_a =
-    Arg.(
-      value & opt float 50.0
-      & info [ "gossip-us" ] ~docv:"US"
-          ~doc:"Queue-depth gossip period for the fleet balancer (0 disables)")
-  in
-  let fleet_serial_a =
-    Arg.(
-      value & flag
-      & info [ "fleet-serial" ]
-          ~doc:
-            "Advance fleet machines on one domain instead of one domain each \
-             (byte-identical results; the smoke test compares both)")
-  in
-  let sample_us_a =
-    Arg.(
-      value & opt float 0.0
-      & info [ "sample-us" ] ~docv:"US"
-          ~doc:
-            "Sample a windowed fleet timeline every $(docv) of virtual time \
-             at the conservative-window barrier (identical for serial and \
-             parallel fleets); 0 disables")
-  in
-  let series_csv_a =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "series-csv" ] ~docv:"PATH"
-          ~doc:
-            "Write the sampled fleet timeline as CSV (needs --sample-us and \
-             a single --rps)")
-  in
-  let slo_us_a =
-    Arg.(
-      value & opt float 0.0
-      & info [ "slo-us" ] ~docv:"US"
-          ~doc:
-            "End-to-end latency SLO: responses within $(docv) count as good, \
-             slower ones and exhausted retries as bad; adds slo_good, \
-             slo_total and burn_x1000 columns. 0 disables")
-  in
-  let slo_target_a =
-    Arg.(
-      value & opt float 0.999
-      & info [ "slo-target" ] ~docv:"F"
-          ~doc:
-            "Good-fraction target the burn rate is measured against \
-             (burn_x1000 = 1000 means exactly exhausting the error budget)")
-  in
-  let faults_a =
-    Arg.(
-      value & opt float 0.0
-      & info [ "faults" ] ~docv:"RATE"
-          ~doc:
-            "Arm a service-level fault plan at $(docv): worker hangs, \
-             response corruption, machine brownouts and link drops \
-             (override the kinds with --fault-kinds); 0 disables")
-  in
-  let fault_kinds_a =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "fault-kinds" ] ~docv:"K,K"
-          ~doc:"Comma-separated fault kinds for --faults")
-  in
-  let hedge_frac_a =
-    Arg.(
-      value & opt float 0.0
-      & info [ "hedge-frac" ] ~docv:"F"
-          ~doc:
-            "Fleet: hedge still-outstanding requests onto a second machine \
-             after $(docv) of --deadline-us; first response wins. 0 disables")
-  in
-  let hedge_budget_a =
-    Arg.(
-      value & opt float 0.1
-      & info [ "hedge-budget" ] ~docv:"F"
-          ~doc:"Fleet: global hedge budget as a fraction of arrivals")
-  in
-  let admit_a =
-    Arg.(
-      value & flag
-      & info [ "admit" ]
-          ~doc:
-            "Fleet: SLO-aware admission control - shed arrivals whose \
-             predicted wait (gossiped depth x EWMA sojourn) already exceeds \
-             --deadline-us (sheds count against the SLO)")
-  in
-  let deadline_us_a =
-    Arg.(
-      value & opt float 0.0
-      & info [ "deadline-us" ] ~docv:"US"
-          ~doc:"Fleet: per-request deadline driving --hedge-frac and --admit")
-  in
-  let wjsq_aware_a =
-    Arg.(
-      value & flag
-      & info [ "wjsq-aware" ]
-          ~doc:
-            "Fleet: weight wjsq by each machine's observed completion rate \
-             (a leaky per-window integrator) instead of nominal capacity - \
-             the brownout-aware balancer")
-  in
-  let tail_a =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "tail" ] ~docv:"SPEC"
-          ~doc:
-            "Heavy-tailed per-request service demand: pareto:ALPHA:MIN:MAX \
-             or lognorm:MEDIAN:SIGMA (microseconds); default every request \
-             costs --work-us")
-  in
-  let nic_a =
-    Arg.(
-      value & flag
-      & info [ "nic" ]
-          ~doc:
-            "Fleet: deliver front->machine traffic through each machine's \
-             simulated NIC (RX descriptor ring + driver) and responses \
-             through its TX ring; adds nic_* columns")
-  in
-  let itr_a =
-    Arg.(
-      value & opt float 0.0
-      & info [ "itr" ] ~docv:"US"
-          ~doc:
-            "NIC interrupt-moderation gap in microseconds (minimum spacing \
-             between RX interrupts); 0 = unmoderated. Inert without --nic")
-  in
-  let rx_mode_a =
-    Arg.(
-      value & opt string "hybrid"
-      & info [ "rx-mode" ] ~docv:"M"
-          ~doc:
-            "NIC receive mode: irq, poll or hybrid (NAPI-style switching). \
-             Inert without --nic")
-  in
-  let run os backend policy order workers rpss duration_ms work_us cap pool
-      hi_frac bursty closed think_us csv alloc_budget seed machines hetero
-      net_lat net_bw gossip_us fleet_serial sample_us series_csv slo_us
-      slo_target faults_rate fault_kinds hedge_frac hedge_budget admit
-      deadline_us wjsq_aware tail nic itr_us rx_mode jobs global_seed =
+  let open Term.Syntax in
+  let opt c v name docv doc = Arg.value (Arg.opt c v (Arg.info [ name ] ~docv ~doc)) in
+  let flag name doc = Arg.value (Arg.flag (Arg.info [ name ] ~doc)) in
+  let term =
+    let+ os = opt Arg.string "nk" "os" "OS" "OS personality: nk or linux"
+    and+ backend =
+      opt Arg.string "fiber" "backend" "B" "Request execution backend: fiber or virtine"
+    and+ policy =
+      opt Arg.string "po2" "policy" "P" "Dispatch policy: rr, random, jsq, po2 or wjsq"
+    and+ order = opt Arg.string "fifo" "order" "O" "Queue order: fifo or priority"
+    and+ workers = opt Arg.int 8 "workers" "N" "Worker CPUs (one queue each)"
+    and+ rpss =
+      Arg.(
+        value
+        & opt_all float [ 20_000.0 ]
+        & info [ "rps" ] ~docv:"R"
+            ~doc:"Offered load in requests/s; repeat for a sweep (one row each)")
+    and+ duration_ms = opt Arg.float 100.0 "duration" "MS" "Run length in milliseconds"
+    and+ work_us = opt Arg.float 150.0 "work-us" "US" "Request body service demand"
+    and+ cap = opt Arg.int 64 "cap" "N" "Per-worker queue bound (drop-tail)"
+    and+ pool = opt Arg.int 16 "pool" "N" "Virtine warm-pool size (virtine backend)"
+    and+ hi_frac =
+      opt Arg.float 0.0 "hi-frac" "F" "Fraction of requests marked high priority"
+    and+ bursty =
+      flag "bursty"
+        "MMPP on/off arrivals (phases of 1.8x / 0.2x the given rate, 5 ms mean \
+         dwell) instead of Poisson"
+    and+ closed =
+      opt Arg.int 0 "closed" "N"
+        "Closed loop with $(docv) clients instead of open-loop arrivals"
+    and+ think_us = opt Arg.float 500.0 "think-us" "US" "Closed-loop client think time"
+    and+ csv =
+      opt Arg.(some string) None "csv" "PATH" "Also write the rows as CSV"
+    and+ alloc_budget =
+      opt Arg.(some float) None "alloc-budget" "W"
+        "Print the run-phase allocation profile and fail if any row exceeds \
+         $(docv) minor-heap words per completed request"
+    and+ seed =
+      opt Arg.int 42 "plane-seed" "N"
+        "Service-plane seed (arrivals, dispatch, kernel boot)"
+    and+ machines =
+      opt Arg.int 0 "machines" "N"
+        "Serve from a fleet of $(docv) identical knl-like machines behind a \
+         balancing front tier over a modeled network (0 = the single-machine \
+         plane)"
+    and+ hetero =
+      opt Arg.(some string) None "hetero" "SPEC"
+        "Heterogeneous fleet spec: COUNTxKIND[:WORKERS] joined by '+', e.g. \
+         2xknl:4+2xsrv:2 (kinds: knl, srv); implies fleet mode"
+    and+ net_lat =
+      opt Arg.float 15.0 "net-lat" "US"
+        "Fleet link one-way latency (also the sync window)"
+    and+ net_bw =
+      opt Arg.float 10.0 "net-bw" "GBPS" "Fleet link bandwidth per direction"
+    and+ gossip_us =
+      opt Arg.float 50.0 "gossip-us" "US"
+        "Queue-depth gossip period for the fleet balancer (0 disables)"
+    and+ fleet_serial =
+      flag "fleet-serial"
+        "Advance fleet machines on one domain instead of one domain each \
+         (byte-identical results; the smoke test compares both)"
+    and+ sample_us =
+      opt Arg.float 0.0 "sample-us" "US"
+        "Sample a windowed fleet timeline every $(docv) of virtual time at the \
+         conservative-window barrier (identical for serial and parallel \
+         fleets); 0 disables"
+    and+ series_csv =
+      opt Arg.(some string) None "series-csv" "PATH"
+        "Write the sampled fleet timeline as CSV (needs --sample-us and a \
+         single --rps)"
+    and+ slo_us =
+      opt Arg.float 0.0 "slo-us" "US"
+        "End-to-end latency SLO: responses within $(docv) count as good, \
+         slower ones and exhausted retries as bad; adds slo_good, slo_total \
+         and burn_x1000 columns. 0 disables"
+    and+ slo_target =
+      opt Arg.float 0.999 "slo-target" "F"
+        "Good-fraction target the burn rate is measured against (burn_x1000 = \
+         1000 means exactly exhausting the error budget)"
+    and+ faults_rate =
+      opt Arg.float 0.0 "faults" "RATE"
+        "Arm a service-level fault plan at $(docv): worker hangs, response \
+         corruption, machine brownouts and link drops (override the kinds \
+         with --fault-kinds); 0 disables"
+    and+ fault_kinds =
+      opt Arg.(some string) None "fault-kinds" "K,K"
+        "Comma-separated fault kinds for --faults"
+    and+ hedge_frac =
+      opt Arg.float 0.0 "hedge-frac" "F"
+        "Fleet: hedge still-outstanding requests onto a second machine after \
+         $(docv) of --deadline-us; first response wins. 0 disables"
+    and+ hedge_budget =
+      opt Arg.float 0.1 "hedge-budget" "F"
+        "Fleet: global hedge budget as a fraction of arrivals"
+    and+ admit =
+      flag "admit"
+        "Fleet: SLO-aware admission control - shed arrivals whose predicted \
+         wait (gossiped depth x EWMA sojourn) already exceeds --deadline-us \
+         (sheds count against the SLO)"
+    and+ deadline_us =
+      opt Arg.float 0.0 "deadline-us" "US"
+        "Fleet: per-request deadline driving --hedge-frac and --admit"
+    and+ wjsq_aware =
+      flag "wjsq-aware"
+        "Fleet: weight wjsq by each machine's observed completion rate (a \
+         leaky per-window integrator) instead of nominal capacity - the \
+         brownout-aware balancer"
+    and+ tail =
+      opt Arg.(some string) None "tail" "SPEC"
+        "Heavy-tailed per-request service demand: pareto:ALPHA:MIN:MAX or \
+         lognorm:MEDIAN:SIGMA (microseconds); default every request costs \
+         --work-us"
+    and+ nic =
+      flag "nic"
+        "Fleet: deliver front->machine traffic through each machine's \
+         simulated NIC (RX descriptor ring + driver) and responses through \
+         its TX ring; adds nic_* columns"
+    and+ itr_us =
+      opt Arg.float 0.0 "itr" "US"
+        "NIC interrupt-moderation gap in microseconds (minimum spacing \
+         between RX interrupts); 0 = unmoderated. Inert without --nic"
+    and+ rx_mode =
+      opt Arg.string "hybrid" "rx-mode" "M"
+        "NIC receive mode: irq, poll or hybrid (NAPI-style switching). Inert \
+         without --nic"
+    and+ jobs = jobs_arg
+    and+ global_seed = seed_arg in
     Iw_engine.Rng.set_global_seed global_seed;
     (* The single-machine plane samples off the ambient period; the
        fleet takes it explicitly through its config. *)
@@ -1120,33 +1069,19 @@ let serve_cmd =
     let demand =
       match tail with
       | None -> Iw_service.Workload.Dfixed
-      | Some s -> (
-          let fl tok what =
-            match float_of_string_opt tok with
-            | Some f -> f
-            | None -> die "serve: bad %s %s in --tail" what tok
-          in
-          match String.split_on_char ':' (String.trim s) with
-          | [ "pareto"; a; mn; mx ] ->
-              Iw_service.Workload.Dpareto
-                {
-                  alpha = fl a "alpha";
-                  xmin_us = fl mn "min";
-                  xmax_us = fl mx "max";
-                }
-          | [ "lognorm"; med; sg ] ->
-              Iw_service.Workload.Dlognorm
-                { median_us = fl med "median"; sigma = fl sg "sigma" }
-          | _ ->
-              die
-                "serve: --tail wants pareto:ALPHA:MIN:MAX or \
-                 lognorm:MEDIAN:SIGMA")
+      | Some s -> parse_tail s
     in
     (try Iw_service.Workload.validate_demand demand
      with Invalid_argument m -> die "serve: %s" m);
     if faults_rate < 0.0 || faults_rate > 1.0 then
       die "serve: --faults must be in [0,1]";
     if itr_us < 0.0 then die "serve: --itr must be >= 0";
+    if cap < 1 then die "serve: --cap must be >= 1";
+    if hedge_frac < 0.0 || hedge_frac > 1.0 then
+      die "serve: --hedge-frac must be in [0,1]";
+    if hedge_budget < 0.0 then die "serve: --hedge-budget must be >= 0";
+    if slo_target <= 0.0 || slo_target > 1.0 then
+      die "serve: --slo-target must be in (0,1]";
     let rx_mode =
       match Iw_kernel.Nic_driver.mode_of_string rx_mode with
       | Some m -> m
@@ -1160,8 +1095,7 @@ let serve_cmd =
     let fault_kinds =
       match fault_kinds with
       | None ->
-          Iw_faults.Plan.
-            [ Worker_hang; Req_corrupt; Machine_brownout; Link_drop ]
+          Iw_faults.Plan.[ Worker_hang; Req_corrupt; Machine_brownout; Link_drop ]
       | Some s ->
           String.split_on_char ',' s
           |> List.map (fun k ->
@@ -1194,47 +1128,16 @@ let serve_cmd =
     in
     (* A closed loop has no offered rate to sweep: one row. *)
     let rpss = if closed > 0 then [ List.hd rpss ] else rpss in
+    if closed = 0 && List.exists (fun r -> r <= 0.0) rpss then
+      die "serve: --rps must be > 0";
+    let check_workers () = if workers < 1 then die "serve: --workers must be >= 1" in
     let fleet_specs =
       match hetero with
-      | Some s ->
-          let parse_tok tok =
-            let count, rest =
-              match String.index_opt tok 'x' with
-              | Some i ->
-                  ( (match int_of_string_opt (String.sub tok 0 i) with
-                    | Some c when c > 0 -> c
-                    | _ -> die "serve: bad count in --hetero token %s" tok),
-                    String.sub tok (i + 1) (String.length tok - i - 1) )
-              | None -> die "serve: --hetero token %s is not COUNTxKIND" tok
-            in
-            let kind, wk =
-              match String.index_opt rest ':' with
-              | Some i ->
-                  ( String.sub rest 0 i,
-                    match
-                      int_of_string_opt
-                        (String.sub rest (i + 1) (String.length rest - i - 1))
-                    with
-                    | Some w when w > 0 -> Some w
-                    | _ -> die "serve: bad worker count in --hetero token %s" tok
-                  )
-              | None -> (rest, None)
-            in
-            let spec =
-              match kind with
-              | "knl" -> Iw_service.Fleet.knl_spec ?workers:wk ()
-              | "srv" -> Iw_service.Fleet.server_spec ?workers:wk ()
-              | k -> die "serve: unknown machine kind %s in --hetero (knl, srv)" k
-            in
-            List.init count (fun _ -> spec)
-          in
-          Some
-            (List.concat_map parse_tok
-               (String.split_on_char '+' (String.trim s)))
-      | None ->
-          if machines > 0 then
-            Some (List.init machines (fun _ -> Iw_service.Fleet.knl_spec ~workers ()))
-          else None
+      | Some s -> Some (parse_hetero s)
+      | None when machines > 0 ->
+          check_workers ();
+          Some (List.init machines (fun _ -> Iw_service.Fleet.knl_spec ~workers ()))
+      | None -> None
     in
     match fleet_specs with
     | Some specs ->
@@ -1242,315 +1145,197 @@ let serve_cmd =
           die "serve: --closed is a single-machine mode (fleets are open-loop)";
         if alloc_budget <> None then
           die "serve: --alloc-budget applies to the single-machine plane only";
-        let fm = Array.of_list specs in
+        if net_bw <= 0.0 then die "serve: --net-bw must be > 0";
         let net =
           { Iw_service.Net.default with nc_lat_us = net_lat; nc_gbps = net_bw }
         in
+        let cfg rps =
+          {
+            (Iw_service.Fleet.default ()) with
+            Iw_service.Fleet.fc_machines = Array.of_list specs;
+            fc_workload = workload_of rps;
+            fc_policy = policy;
+            fc_order = order;
+            fc_queue_cap = cap;
+            fc_backend = backend;
+            fc_work_us = work_us;
+            fc_hi_frac = hi_frac;
+            fc_net = net;
+            fc_gossip_us = gossip_us;
+            fc_sample_us = sample_us;
+            fc_slo_us = slo_us;
+            fc_slo_target = slo_target;
+            fc_hedge_frac = hedge_frac;
+            fc_hedge_budget = hedge_budget;
+            fc_admit = admit;
+            fc_deadline_us = deadline_us;
+            fc_bw_wjsq = wjsq_aware;
+            fc_demand = demand;
+            fc_nic = nic;
+            fc_nic_mode = rx_mode;
+            fc_itr_us = itr_us;
+            fc_seed = seed;
+          }
+        in
         (* Fleet runs own their parallelism (one domain per machine),
            so the rate sweep itself stays sequential. *)
+        let parallel = if fleet_serial then Some false else None in
         let reports =
           with_plan (fun () ->
-              List.map
+              List.map (fun rps -> Iw_service.Fleet.run ?parallel (cfg rps)) rpss)
+        in
+        let open Iw_service.Fleet in
+        let p pct r = percentile_us r r.fr_total pct in
+        (* Optional groups appear only with the flag that turns them on,
+           so default runs (and the fleet smoke's par-vs-serial cmp)
+           keep their shape. *)
+        let cols =
+          [
+            icol "machines" (fun r -> r.fr_machines);
+            ("policy", fun r -> r.fr_policy);
+            ("gossip_us", fun _ -> Printf.sprintf "%g" gossip_us);
+            fcol "offered_rps" "%.0f" (fun r -> r.fr_offered_rps);
+            icol "arrivals" (fun r -> r.fr_arrivals);
+            icol "completed" (fun r -> r.fr_completed);
+            icol "failed" (fun r -> r.fr_failed);
+            icol "retries" (fun r -> r.fr_retries);
+            icol "nacks" (fun r -> r.fr_nacks);
+            icol "drops" (fun r -> r.fr_net_drops);
+            icol "ejects" (fun r -> r.fr_ejects);
+            fcol "thru_rps" "%.0f" (fun r -> r.fr_throughput_rps);
+            fcol "util" "%.2f" (fun r -> r.fr_utilization);
+            fcol "p50_us" "%.1f" (p 50.0);
+            fcol "p99_us" "%.1f" (p 99.0);
+            fcol "p99.9_us" "%.1f" (p 99.9);
+          ]
+          @ on (slo_us > 0.0)
+              [
+                icol "slo_good" (fun r -> r.fr_slo_good);
+                icol "slo_total" (fun r -> r.fr_slo_total);
+                icol "burn_x1000" (fun r ->
+                    int_of_float
+                      (burn ~target:slo_target ~good:r.fr_slo_good
+                         ~total:r.fr_slo_total
+                      *. 1000.0));
+              ]
+          @ on (faults_rate > 0.0)
+              [
+                icol "steals" (fun r -> r.fr_steals);
+                icol "reexecs" (fun r -> r.fr_corrupt_retries);
+                icol "brownouts" (fun r -> r.fr_brownouts);
+              ]
+          @ on (hedge_frac > 0.0)
+              [
+                icol "hedges" (fun r -> r.fr_hedges);
+                icol "hedge_wins" (fun r -> r.fr_hedge_wins);
+                icol "hedge_late" (fun r -> r.fr_hedge_cancels);
+              ]
+          @ on admit [ icol "adm_shed" (fun r -> r.fr_admission_shed) ]
+          @ on nic
+              [
+                icol "nic_rx" (fun r -> r.fr_nic_rx);
+                icol "nic_drops" (fun r -> r.fr_nic_drops);
+                icol "nic_irqs" (fun r -> r.fr_nic_irqs);
+                icol "nic_polls" (fun r -> r.fr_nic_polls);
+                icol "nic_wasted_kc" (fun r -> r.fr_nic_wasted_cycles / 1000);
+                icol "nic_switches" (fun r -> r.fr_nic_switches);
+                icol "nic_recovers" (fun r -> r.fr_nic_recovers);
+              ]
+        in
+        (* A single fleet row gets the per-machine breakdown. *)
+        let detail = function
+          | [ r ] when csv = None ->
+              print_newline ();
+              print_string
+                (Interweave.Table.render
+                   (Interweave.Machine.Fleet.counter_table
+                      (Array.to_list
+                         (Array.map2 (fun n c -> (n, c)) r.fr_m_names r.fr_m_counters))))
+          | _ -> ()
+        in
+        emit ~csv ~series_csv ~detail ~series:(fun r -> r.fr_series) cols reports
+    | None ->
+        if nic then die "serve: --nic needs a fleet (--machines or --hetero)";
+        check_workers ();
+        let plat = Iw_hw.Platform.knl in
+        (* The ambient fault plan is domain-local, so a faulted sweep runs
+           its rows on the coordinator. *)
+        let jobs = if faults_rate > 0.0 then 1 else jobs in
+        let reports =
+          with_plan (fun () ->
+              Interweave.Driver.parallel_map ~jobs
                 (fun rps ->
-                  Iw_service.Fleet.run
-                    ?parallel:(if fleet_serial then Some false else None)
+                  Iw_service.Plane.run
                     {
-                      (Iw_service.Fleet.default ()) with
-                      Iw_service.Fleet.fc_machines = fm;
-                      fc_workload = workload_of rps;
-                      fc_policy = policy;
-                      fc_order = order;
-                      fc_queue_cap = cap;
-                      fc_backend = backend;
-                      fc_work_us = work_us;
-                      fc_hi_frac = hi_frac;
-                      fc_net = net;
-                      fc_gossip_us = gossip_us;
-                      fc_sample_us = sample_us;
-                      fc_slo_us = slo_us;
-                      fc_slo_target = slo_target;
-                      fc_hedge_frac = hedge_frac;
-                      fc_hedge_budget = hedge_budget;
-                      fc_admit = admit;
-                      fc_deadline_us = deadline_us;
-                      fc_bw_wjsq = wjsq_aware;
-                      fc_demand = demand;
-                      fc_nic = nic;
-                      fc_nic_mode = rx_mode;
-                      fc_itr_us = itr_us;
-                      fc_seed = seed;
+                      os;
+                      plat;
+                      workers;
+                      workload = workload_of rps;
+                      policy;
+                      order;
+                      queue_cap = cap;
+                      backend;
+                      work_us;
+                      hi_frac;
+                      demand;
+                      seed;
                     })
                 rpss)
         in
-        (* SLO columns appear only when accounting is on, so default
-           runs (and the fleet smoke's par-vs-serial cmp) keep their
-           existing shape. *)
-        let header =
+        let open Iw_service.Plane in
+        let p pct r = percentile_us r r.rep_total pct in
+        let cols =
           [
-            "machines"; "policy"; "gossip_us"; "offered_rps"; "arrivals";
-            "completed"; "failed"; "retries"; "nacks"; "drops"; "ejects";
-            "thru_rps"; "util"; "p50_us"; "p99_us"; "p99.9_us";
+            ("os", fun r -> r.rep_os);
+            ("policy", fun r -> r.rep_policy);
+            ("backend", fun r -> r.rep_backend);
+            fcol "offered_rps" "%.0f" (fun r -> r.rep_offered_rps);
+            icol "arrivals" (fun r -> r.rep_arrivals);
+            icol "shed" (fun r -> r.rep_shed);
+            fcol "thru_rps" "%.0f" (fun r -> r.rep_throughput_rps);
+            fcol "util" "%.2f" (fun r -> r.rep_utilization);
+            fcol "q_mean_us" "%.1f" (fun r -> mean_us r r.rep_queue);
+            fcol "p50_us" "%.1f" (p 50.0);
+            fcol "p90_us" "%.1f" (p 90.0);
+            fcol "p99_us" "%.1f" (p 99.0);
+            fcol "p99.9_us" "%.1f" (p 99.9);
+            (* coordinated-omission-corrected p99: measured from each
+               request's intended (drawn) send time; equals raw p99 when
+               the generator never falls behind *)
+            fcol "p99c_us" "%.1f" (fun r -> percentile_us r r.rep_total_corrected 99.0);
           ]
-          @ (if slo_us > 0.0 then [ "slo_good"; "slo_total"; "burn_x1000" ]
-             else [])
-          @ (if faults_rate > 0.0 then [ "steals"; "reexecs"; "brownouts" ]
-             else [])
-          @ (if hedge_frac > 0.0 then [ "hedges"; "hedge_wins"; "hedge_late" ]
-             else [])
-          @ (if admit then [ "adm_shed" ] else [])
-          @
-          (if nic then
-             [
-               "nic_rx"; "nic_drops"; "nic_irqs"; "nic_polls"; "nic_wasted_kc";
-               "nic_switches"; "nic_recovers";
-             ]
-           else [])
+          @ on (faults_rate > 0.0) [ icol "steals" (fun r -> r.rep_steals) ]
         in
-        let cols (r : Iw_service.Fleet.report) =
-          let p pct = Iw_service.Fleet.percentile_us r r.fr_total pct in
-          [
-            string_of_int r.fr_machines;
-            r.fr_policy;
-            Printf.sprintf "%g" gossip_us;
-            Printf.sprintf "%.0f" r.fr_offered_rps;
-            string_of_int r.fr_arrivals;
-            string_of_int r.fr_completed;
-            string_of_int r.fr_failed;
-            string_of_int r.fr_retries;
-            string_of_int r.fr_nacks;
-            string_of_int r.fr_net_drops;
-            string_of_int r.fr_ejects;
-            Printf.sprintf "%.0f" r.fr_throughput_rps;
-            Printf.sprintf "%.2f" r.fr_utilization;
-            Printf.sprintf "%.1f" (p 50.0);
-            Printf.sprintf "%.1f" (p 99.0);
-            Printf.sprintf "%.1f" (p 99.9);
-          ]
-          @
-          if slo_us > 0.0 then
-            let burn =
-              if r.fr_slo_total > 0 && slo_target < 1.0 then
-                int_of_float
-                  (float_of_int (r.fr_slo_total - r.fr_slo_good)
-                  /. float_of_int r.fr_slo_total
-                  /. (1.0 -. slo_target) *. 1000.0)
-              else 0
+        emit ~csv ~series_csv ~series:(fun r -> r.rep_series) cols reports;
+        Option.iter
+          (fun budget ->
+            (* The alloc-smoke gate: steady-state request processing must
+               stay inside the committed minor-words-per-request budget
+               (warmup — arena growth, stream setup — is amortized over
+               the run, hence a budget slightly above the asymptotic 0). *)
+            let worst =
+              List.fold_left
+                (fun acc r ->
+                  let per_req =
+                    if r.rep_completed > 0 then
+                      r.rep_run_minor_words /. float_of_int r.rep_completed
+                    else r.rep_run_minor_words
+                  in
+                  Printf.printf
+                    "alloc: %s/%s %.0f rps: %.0f minor words / %d requests = \
+                     %.4f w/req (major %.0f, arena cap %d)\n"
+                    r.rep_backend r.rep_policy r.rep_offered_rps
+                    r.rep_run_minor_words r.rep_completed per_req
+                    r.rep_run_major_words r.rep_arena_capacity;
+                  Float.max acc per_req)
+                0.0 reports
             in
-            [
-              string_of_int r.fr_slo_good;
-              string_of_int r.fr_slo_total;
-              string_of_int burn;
-            ]
-          else []
-        in
-        let cols r =
-          cols r
-          @ (if faults_rate > 0.0 then
-               [
-                 string_of_int r.Iw_service.Fleet.fr_steals;
-                 string_of_int r.fr_corrupt_retries;
-                 string_of_int r.fr_brownouts;
-               ]
-             else [])
-          @ (if hedge_frac > 0.0 then
-               [
-                 string_of_int r.Iw_service.Fleet.fr_hedges;
-                 string_of_int r.fr_hedge_wins;
-                 string_of_int r.fr_hedge_cancels;
-               ]
-             else [])
-          @ (if admit then
-               [ string_of_int r.Iw_service.Fleet.fr_admission_shed ]
-             else [])
-          @
-          if nic then
-            [
-              string_of_int r.Iw_service.Fleet.fr_nic_rx;
-              string_of_int r.fr_nic_drops;
-              string_of_int r.fr_nic_irqs;
-              string_of_int r.fr_nic_polls;
-              string_of_int (r.fr_nic_wasted_cycles / 1000);
-              string_of_int r.fr_nic_switches;
-              string_of_int r.fr_nic_recovers;
-            ]
-          else []
-        in
-        let rows = header :: List.map cols reports in
-        let widths =
-          List.fold_left
-            (fun acc row -> List.map2 (fun w c -> max w (String.length c)) acc row)
-            (List.map (fun _ -> 0) header)
-            rows
-        in
-        List.iter
-          (fun row ->
-            List.iteri
-              (fun i c ->
-                Printf.printf "%s%*s" (if i = 0 then "" else "  ")
-                  (List.nth widths i) c)
-              row;
-            print_newline ())
-          rows;
-        let members (r : Iw_service.Fleet.report) =
-          Array.to_list
-            (Array.map2 (fun n c -> (n, c)) r.fr_m_names r.fr_m_counters)
-        in
-        (match reports with
-        | [ r ] when csv = None ->
-            (* A single fleet row gets the per-machine breakdown. *)
-            print_newline ();
-            print_string
-              (Interweave.Table.render
-                 (Interweave.Machine.Fleet.counter_table (members r)))
-        | _ -> ());
-        (match csv with
-        | None -> ()
-        | Some path ->
-            let oc = open_out path in
-            List.iter
-              (fun row -> output_string oc (String.concat "," row ^ "\n"))
-              rows;
-            close_out oc;
-            Printf.printf "wrote %s: %d rows\n" path (List.length reports));
-        (match series_csv with
-        | None -> ()
-        | Some path -> (
-            match reports with
-            | [ { Iw_service.Fleet.fr_series = Some s; _ } ] ->
-                Iw_obs.Series.write_csv s path;
-                Printf.printf "wrote %s: %d samples (%d dropped)\n" path
-                  (Iw_obs.Series.length s)
-                  (Iw_obs.Series.dropped s)
-            | [ { Iw_service.Fleet.fr_series = None; _ } ] ->
-                die "serve: --series-csv needs --sample-us > 0"
-            | _ -> die "serve: --series-csv needs a single --rps"))
-    | None ->
-    if nic then die "serve: --nic needs a fleet (--machines or --hetero)";
-    let plat = Iw_hw.Platform.knl in
-    (* The ambient fault plan is domain-local, so a faulted sweep runs
-       its rows on the coordinator. *)
-    let jobs = if faults_rate > 0.0 then 1 else jobs in
-    let reports =
-      with_plan (fun () ->
-          Interweave.Driver.parallel_map ~jobs
-            (fun rps ->
-              Iw_service.Plane.run
-                {
-                  os;
-                  plat;
-                  workers;
-                  workload = workload_of rps;
-                  policy;
-                  order;
-                  queue_cap = cap;
-                  backend;
-                  work_us;
-                  hi_frac;
-                  demand;
-                  seed;
-                })
-            rpss)
-    in
-    let cols r =
-      let p pct = Iw_service.Plane.percentile_us r r.Iw_service.Plane.rep_total pct in
-      [
-        r.Iw_service.Plane.rep_os;
-        r.rep_policy;
-        r.rep_backend;
-        Printf.sprintf "%.0f" r.rep_offered_rps;
-        string_of_int r.rep_arrivals;
-        string_of_int r.rep_shed;
-        Printf.sprintf "%.0f" r.rep_throughput_rps;
-        Printf.sprintf "%.2f" r.rep_utilization;
-        Printf.sprintf "%.1f" (Iw_service.Plane.mean_us r r.rep_queue);
-        Printf.sprintf "%.1f" (p 50.0);
-        Printf.sprintf "%.1f" (p 90.0);
-        Printf.sprintf "%.1f" (p 99.0);
-        Printf.sprintf "%.1f" (p 99.9);
-        (* coordinated-omission-corrected p99: measured from each
-           request's intended (drawn) send time; equals raw p99 when
-           the generator never falls behind *)
-        Printf.sprintf "%.1f"
-          (Iw_service.Plane.percentile_us r r.rep_total_corrected 99.0);
-      ]
-      @
-      if faults_rate > 0.0 then [ string_of_int r.rep_steals ] else []
-    in
-    let header =
-      [
-        "os"; "policy"; "backend"; "offered_rps"; "arrivals"; "shed";
-        "thru_rps"; "util"; "q_mean_us"; "p50_us"; "p90_us"; "p99_us";
-        "p99.9_us"; "p99c_us";
-      ]
-      @ if faults_rate > 0.0 then [ "steals" ] else []
-    in
-    let rows = header :: List.map cols reports in
-    let widths =
-      List.fold_left
-        (fun acc row -> List.map2 (fun w c -> max w (String.length c)) acc row)
-        (List.map (fun _ -> 0) header)
-        rows
-    in
-    List.iter
-      (fun row ->
-        List.iteri
-          (fun i c ->
-            Printf.printf "%s%*s" (if i = 0 then "" else "  ")
-              (List.nth widths i) c)
-          row;
-        print_newline ())
-      rows;
-    (match csv with
-    | None -> ()
-    | Some path ->
-        let oc = open_out path in
-        List.iter
-          (fun row -> output_string oc (String.concat "," row ^ "\n"))
-          rows;
-        close_out oc;
-        Printf.printf "wrote %s: %d rows\n" path (List.length reports));
-    (match series_csv with
-    | None -> ()
-    | Some path -> (
-        match reports with
-        | [ { Iw_service.Plane.rep_series = Some s; _ } ] ->
-            Iw_obs.Series.write_csv s path;
-            Printf.printf "wrote %s: %d samples (%d dropped)\n" path
-              (Iw_obs.Series.length s)
-              (Iw_obs.Series.dropped s)
-        | [ { Iw_service.Plane.rep_series = None; _ } ] ->
-            die "serve: --series-csv needs --sample-us > 0"
-        | _ -> die "serve: --series-csv needs a single --rps"));
-    match alloc_budget with
-    | None -> ()
-    | Some budget ->
-        (* The alloc-smoke gate: steady-state request processing must
-           stay inside the committed minor-words-per-request budget
-           (warmup — arena growth, stream setup — is amortized over
-           the run, hence a budget slightly above the asymptotic 0). *)
-        let worst =
-          List.fold_left
-            (fun acc r ->
-              let open Iw_service.Plane in
-              let per_req =
-                if r.rep_completed > 0 then
-                  r.rep_run_minor_words /. float_of_int r.rep_completed
-                else r.rep_run_minor_words
-              in
-              Printf.printf
-                "alloc: %s/%s %.0f rps: %.0f minor words / %d requests = \
-                 %.4f w/req (major %.0f, arena cap %d)\n"
-                r.rep_backend r.rep_policy r.rep_offered_rps
-                r.rep_run_minor_words r.rep_completed per_req
-                r.rep_run_major_words r.rep_arena_capacity;
-              Float.max acc per_req)
-            0.0 reports
-        in
-        if worst > budget then
-          die "serve: allocation budget exceeded: %.4f > %.4f minor words/request"
-            worst budget;
-        Printf.printf "alloc budget ok: worst %.4f <= %.4f minor words/request\n"
-          worst budget
+            if worst > budget then
+              die "serve: allocation budget exceeded: %.4f > %.4f minor words/request"
+                worst budget;
+            Printf.printf "alloc budget ok: worst %.4f <= %.4f minor words/request\n"
+              worst budget)
+          alloc_budget
   in
   Cmd.v
     (Cmd.info "serve"
@@ -1558,14 +1343,7 @@ let serve_cmd =
          "Drive open- or closed-loop load through the service plane (queues, \
           dispatch policies, fiber/virtine execution) and report throughput \
           and tail latency per offered rate")
-    Term.(
-      const run $ os_a $ backend_a $ policy_a $ order_a $ workers_a $ rps_a
-      $ duration_a $ work_a $ cap_a $ pool_a $ hi_frac_a $ bursty_a $ closed_a
-      $ think_a $ csv_a $ alloc_budget_a $ seed_a $ machines_a $ hetero_a
-      $ net_lat_a $ net_bw_a $ gossip_us_a $ fleet_serial_a $ sample_us_a
-      $ series_csv_a $ slo_us_a $ slo_target_a $ faults_a $ fault_kinds_a
-      $ hedge_frac_a $ hedge_budget_a $ admit_a $ deadline_us_a $ wjsq_aware_a
-      $ tail_a $ nic_a $ itr_a $ rx_mode_a $ jobs_arg $ seed_arg)
+    term
 
 let () =
   let doc =

@@ -62,8 +62,9 @@ type t = {
   ex_h_total : Hist.t array;
   ex_arena : Request_arena.t;
   ex_wasp : Iw_virtine.Wasp.t option;
-  ex_admitted : int ref;
-  ex_completed : int ref;
+  ex_ctr : Iw_obs.Counter.set;
+      (* the kernel's counters: admitted, completed and stolen requests
+         are read back from here, never tallied twice *)
   ex_busy : int ref;
   ex_gen_done : bool ref;
   ex_stopping : bool ref;
@@ -81,7 +82,6 @@ type t = {
   ex_demand_seed : int;
   ex_demand_scale : float;  (* fleet: 1/speed, matching work_us *)
   ex_h_corr : Hist.t;  (* coordinated-omission-corrected sojourn *)
-  ex_steals : int ref;
   mutable ex_wd_stop : unit -> unit;
   ex_ws : worker array;
 }
@@ -122,6 +122,9 @@ let[@inline] work_grant t v =
   let d = Request_arena.demand t.ex_arena v in
   let base = if d >= 0 then d else t.ex_work_c in
   if t.ex_slow_x1000 = 1000 then base else base * t.ex_slow_x1000 / 1000
+
+let admitted t = Iw_obs.Counter.get t.ex_ctr Iw_obs.Counter.Service_admitted
+let completed t = Iw_obs.Counter.get t.ex_ctr Iw_obs.Counter.Service_completions
 
 let rec w_activation t w =
   let k = t.ex_k in
@@ -224,8 +227,7 @@ and finish_exec t w =
   t.ex_busy := !(t.ex_busy) + (fin - w.w_start);
   Hist.record t.ex_h_service.(w.w_id) (fin - w.w_start);
   Hist.record t.ex_h_total.(w.w_id) (fin - Request_arena.arrival t.ex_arena w.w_req);
-  incr t.ex_completed;
-  Iw_obs.Counter.incr obs.Iw_obs.Obs.counters Iw_obs.Counter.Service_completions;
+  Iw_obs.Counter.incr t.ex_ctr Iw_obs.Counter.Service_completions;
   let tr = obs.Iw_obs.Obs.trace in
   if Iw_obs.Trace.enabled tr then
     Iw_obs.Trace.span tr ~name:"service:exec" ~cat:"service" ~cpu:w.w_id
@@ -254,10 +256,7 @@ and finish_exec t w =
       Sched.flat_overhead k w.w_fl f.fm_tx_c
 
 and after_reply t w =
-  if
-    !(t.ex_gen_done)
-    && !(t.ex_completed) = !(t.ex_admitted)
-    && not !(t.ex_stopping)
+  if !(t.ex_gen_done) && completed t = admitted t && not !(t.ex_stopping)
   then begin
     t.ex_stopping := true;
     t.ex_on_stop ();
@@ -292,12 +291,11 @@ and next_item t w =
 let watchdog_scan t =
   let k = t.ex_k in
   let obs = Sched.obs k in
-  let ctr = obs.Iw_obs.Obs.counters in
   let now = Sched.now k in
   for i = 0 to t.ex_workers - 1 do
     let w = t.ex_ws.(i) in
     if w.w_hung && not (Squeue.is_empty t.ex_queues.(i)) then begin
-      Iw_obs.Counter.incr ctr Iw_obs.Counter.Watchdog_fire;
+      Iw_obs.Counter.incr t.ex_ctr Iw_obs.Counter.Watchdog_fire;
       let tr = obs.Iw_obs.Obs.trace in
       if Iw_obs.Trace.enabled tr then
         Iw_obs.Trace.instant tr ~name:"recover:steal" ~cat:"service" ~cpu:i
@@ -319,8 +317,7 @@ let watchdog_scan t =
           done;
           let hi = Request_arena.is_hi t.ex_arena v in
           if !best >= 0 && Squeue.try_push t.ex_queues.(!best) ~hi v then begin
-            incr t.ex_steals;
-            Iw_obs.Counter.incr ctr Iw_obs.Counter.Peer_steal;
+            Iw_obs.Counter.incr t.ex_ctr Iw_obs.Counter.Peer_steal;
             Sched.sem_signal k t.ex_doorbells.(!best)
           end
           else begin
@@ -379,8 +376,7 @@ let create ~k ?(prefix = "serve") ?(watchdog = true)
       ex_h_total = h_total;
       ex_arena = arena;
       ex_wasp = wasp;
-      ex_admitted = ref 0;
-      ex_completed = ref 0;
+      ex_ctr = Sched.counters k;
       ex_busy = ref 0;
       ex_gen_done = ref false;
       ex_stopping = ref false;
@@ -393,7 +389,6 @@ let create ~k ?(prefix = "serve") ?(watchdog = true)
       ex_demand_seed = demand_seed;
       ex_demand_scale = demand_scale;
       ex_h_corr = Hist.create ();
-      ex_steals = ref 0;
       ex_wd_stop = (fun () -> ());
       ex_ws =
         Array.init workers (fun w ->
@@ -463,10 +458,8 @@ let try_enqueue t ~intended ~hi ~arrival ~reply =
   in
   let idx = Request_arena.alloc ~demand ~intended t.ex_arena ~arrival ~hi ~reply in
   if Squeue.try_push t.ex_queues.(qi) ~hi idx then begin
-    incr t.ex_admitted;
-    let ctr = (Sched.obs t.ex_k).Iw_obs.Obs.counters in
-    Iw_obs.Counter.incr ctr Iw_obs.Counter.Service_admitted;
-    if hi then Iw_obs.Counter.incr ctr Iw_obs.Counter.Service_hi_prio;
+    Iw_obs.Counter.incr t.ex_ctr Iw_obs.Counter.Service_admitted;
+    if hi then Iw_obs.Counter.incr t.ex_ctr Iw_obs.Counter.Service_hi_prio;
     qi
   end
   else begin
@@ -485,8 +478,6 @@ let depth t =
   !d
 
 let workers t = t.ex_workers
-let admitted_ref t = t.ex_admitted
-let completed_ref t = t.ex_completed
 let busy_cycles t = !(t.ex_busy)
 let gen_done_ref t = t.ex_gen_done
 let stopping_ref t = t.ex_stopping
@@ -498,7 +489,7 @@ let h_corrected t = t.ex_h_corr
 let arena_capacity t = Request_arena.capacity t.ex_arena
 let arena_grows t = Request_arena.grows t.ex_arena
 let wasp t = t.ex_wasp
-let steals t = !(t.ex_steals)
+let steals t = Iw_obs.Counter.get t.ex_ctr Iw_obs.Counter.Peer_steal
 let hung t =
   let n = ref 0 in
   Array.iter (fun w -> if w.w_hung then incr n) t.ex_ws;

@@ -92,8 +92,13 @@ val depth : t -> int
     machine gossips to the fleet balancer. *)
 
 val workers : t -> int
-val admitted_ref : t -> int ref
-val completed_ref : t -> int ref
+val admitted : t -> int
+val completed : t -> int
+(** Requests admitted to a queue / finished executing, read from the
+    kernel's [service_admitted] / [service_completions] counters —
+    the executor keeps no tally of its own, so one executor per
+    kernel is assumed. *)
+
 val busy_cycles : t -> int
 val gen_done_ref : t -> bool ref
 (** Standalone stop protocol: the generator sets this when arrivals

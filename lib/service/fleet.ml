@@ -164,6 +164,10 @@ type report = {
 let us_of_cycles rep c = float_of_int c /. (rep.fr_ghz *. 1e3)
 let percentile_us rep h p = us_of_cycles rep (Hist.percentile h p)
 
+let burn ~target ~good ~total =
+  if total <= 0 || target >= 1.0 then 0.0
+  else float_of_int (total - good) /. float_of_int total /. (1.0 -. target)
+
 (* Front-tier RNG streams live on their own salt so machine-side
    draws (each kernel's own streams) can never perturb arrivals. *)
 let rng_salt = 0xF1EE7
@@ -393,15 +397,11 @@ let run ?parallel cfg =
   in
   let ft = ftab_create () in
 
-  let arrivals = ref 0 in
+  (* Every front-tier count lives once, in [fctr] (private to this
+     run): the hedge budget, the series columns and the report read
+     it back.  [completed] and [brownouts] have no counter. *)
+  let count id = Counter.get fctr id in
   let completed = ref 0 in
-  let failed = ref 0 in
-  let retries = ref 0 in
-  let nacks = ref 0 in
-  let net_msgs = ref 0 in
-  let net_drops = ref 0 in
-  let gossip_msgs = ref 0 in
-  let ejects = ref 0 in
   let outstanding = ref 0 in
   let gen_done = ref false in
   let h_e2e = Hist.create () in
@@ -427,11 +427,6 @@ let run ?parallel cfg =
   (* hedge copies carry a sentinel attempt so machine nacks for them
      never feed the retry state machine *)
   let hedge_att = 0x3FFFFF in
-  let hedges = ref 0 in
-  let hedge_wins = ref 0 in
-  let hedge_cancels = ref 0 in
-  let admission_shed = ref 0 in
-  let corrupt_retries = ref 0 in
   let brownouts = ref 0 in
   (* EWMA of end-to-end sojourn, the admission controller's service
      time estimate; seeded with the nominal body cost *)
@@ -496,7 +491,9 @@ let run ?parallel cfg =
     if
       ft.ft_state.(id) = 0
       && ft.ft_hmachine.(id) < 0
-      && !hedges < int_of_float (cfg.fc_hedge_budget *. float_of_int !arrivals)
+      && count Counter.Hedge_sent
+         < int_of_float
+             (cfg.fc_hedge_budget *. float_of_int (count Counter.Service_arrivals))
     then begin
       let now = Iw_engine.Sim.now fsim in
       let primary = ft.ft_machine.(id) in
@@ -515,7 +512,6 @@ let run ?parallel cfg =
         in
         let m = cand.(j) in
         ft.ft_hmachine.(id) <- m;
-        incr hedges;
         Counter.incr fctr Counter.Hedge_sent;
         if tracing then
           Iw_obs.Trace.instant tr ~name:"recover:hedge" ~cat:"service"
@@ -528,14 +524,12 @@ let run ?parallel cfg =
   and retry id =
     if ft.ft_retries.(id) >= cfg.fc_max_retries then begin
       ft.ft_state.(id) <- 2;
-      incr failed;
       if slo_c > 0 then incr slo_total;
       Counter.incr fctr Counter.Service_failed;
       decr outstanding
     end
     else begin
       ft.ft_retries.(id) <- ft.ft_retries.(id) + 1;
-      incr retries;
       Counter.incr fctr Counter.Net_retries;
       send_attempt id ft.ft_retries.(id)
     end
@@ -548,7 +542,6 @@ let run ?parallel cfg =
       if cfg.fc_eject_streak > 0 && mc.m_streak >= cfg.fc_eject_streak then begin
         mc.m_ejected_until <- Iw_engine.Sim.now fsim + eject_c;
         mc.m_streak <- 0;
-        incr ejects;
         Counter.incr fctr Counter.Machine_ejects
       end;
       retry id
@@ -568,10 +561,8 @@ let run ?parallel cfg =
       (* an accepted-but-corrupt response is never SLO-good *)
       if (not corrupt) && lat <= slo_c then incr slo_good
     end;
-    if ft.ft_hmachine.(id) >= 0 && m = ft.ft_hmachine.(id) then begin
-      incr hedge_wins;
-      Counter.incr fctr Counter.Hedge_won
-    end;
+    if ft.ft_hmachine.(id) >= 0 && m = ft.ft_hmachine.(id) then
+      Counter.incr fctr Counter.Hedge_won;
     if Iw_obs.Trace.flows_enabled tr then
       Iw_obs.Trace.flow tr ~name:"req" ~phase:Iw_obs.Trace.flow_finish ~id
         ~cpu:(-1) ~ts:now ();
@@ -587,7 +578,6 @@ let run ?parallel cfg =
         if cfg.fc_corrupt_retry then begin
           (* garbage answer: burn the work and re-execute, bounded by
              the ordinary retry budget *)
-          incr corrupt_retries;
           Counter.incr fctr Counter.Corrupt_retry;
           if tracing then
             Iw_obs.Trace.instant tr ~name:"recover:reexec" ~cat:"service"
@@ -598,14 +588,11 @@ let run ?parallel cfg =
       end
       else complete ~corrupt:false id m
     end
-    else if ft.ft_state.(id) = 1 && ft.ft_hmachine.(id) >= 0 then begin
+    else if ft.ft_state.(id) = 1 && ft.ft_hmachine.(id) >= 0 then
       (* the losing copy of a hedged request coming home late *)
-      incr hedge_cancels;
       Counter.incr fctr Counter.Hedge_cancel
-    end
   in
   let on_nack id attempt m =
-    incr nacks;
     Counter.incr fctr Counter.Net_nacks;
     machines.(m).m_streak <- 0;
     (* a nack proves the machine is alive, just full — retry now
@@ -639,7 +626,6 @@ let run ?parallel cfg =
   in
   let rec arrive () =
     let now = Iw_engine.Sim.now fsim in
-    incr arrivals;
     Counter.incr fctr Counter.Service_arrivals;
     if admitted now then begin
       let id = ftab_alloc ft ~arrival:now ~hi:(draw_hi ()) in
@@ -647,7 +633,6 @@ let run ?parallel cfg =
       send_attempt id 0
     end
     else begin
-      incr admission_shed;
       Counter.incr fctr Counter.Admission_shed;
       if tracing then
         Iw_obs.Trace.instant tr ~name:"recover:shed" ~cat:"service" ~cpu:(-1)
@@ -738,10 +723,7 @@ let run ?parallel cfg =
     let b = buf.Net.mb_b.(i) in
     let t = buf.Net.mb_t.(i) in
     if Plan.enabled plan && Plan.fire plan front_obs ~kind:Plan.Link_drop ~cpu:src ~ts:t
-    then begin
-      incr net_drops;
-      Counter.incr fctr Counter.Net_drops
-    end
+    then Counter.incr fctr Counter.Net_drops
     else begin
       let extra =
         if
@@ -756,7 +738,6 @@ let run ?parallel cfg =
       let d = Net.route link ~send:t ~bytes:(bytes_of kind) ~extra in
       (* conservative clamp: never deliver into the closing window *)
       let at = if d < h then h else d in
-      incr net_msgs;
       Counter.incr fctr Counter.Net_msgs;
       if kind = Net.k_req then begin
         if cfg.fc_nic then begin
@@ -776,7 +757,6 @@ let run ?parallel cfg =
       else if kind = Net.k_gossip then
         Iw_engine.Sim.schedule_unit fsim ~at (fun () ->
             view.(b) <- a;
-            incr gossip_msgs;
             Counter.incr fctr Counter.Gossip_msgs)
       else
         Iw_engine.Sim.schedule_unit fsim ~at (fun () -> on_nack a b (src - 1))
@@ -817,7 +797,7 @@ let run ?parallel cfg =
        balancer weighs instead of trusting nominal speed *)
     if cfg.fc_bw_wjsq then
       for m = 0 to n - 1 do
-        let c = !(Exec.completed_ref machines.(m).m_ex) in
+        let c = Exec.completed machines.(m).m_ex in
         let d = c - prev_comp.(m) in
         prev_comp.(m) <- c;
         obs_w.(m) <- obs_w.(m) - (obs_w.(m) asr 3) + d
@@ -861,36 +841,32 @@ let run ?parallel cfg =
     if sample_c = 0 then None
     else begin
       let ewin = Hist.window h_e2e in
-      (* Burn rate per window: (bad/total) / (1 - target), scaled to
-         an integer (x1000) so the CSV stays int-exact.  1000 = burning
-         exactly the error budget; above = eating into it. *)
+      (* Burn rate per window, scaled to an integer (x1000) so the CSV
+         stays int-exact. *)
       let pg = ref 0 and pt = ref 0 in
-      let burn () =
+      let burn_col () =
         let g = !slo_good and t = !slo_total in
         let dg = g - !pg and dt = t - !pt in
         pg := g;
         pt := t;
-        if dt <= 0 || cfg.fc_slo_target >= 1.0 then 0
-        else
-          int_of_float
-            (float_of_int (dt - dg) /. float_of_int dt
-            /. (1.0 -. cfg.fc_slo_target) *. 1000.0)
+        int_of_float
+          (burn ~target:cfg.fc_slo_target ~good:dg ~total:dt *. 1000.0)
       in
+      let dcount name id = Iw_obs.Series.dcol ~name (fun () -> count id) in
       let fixed =
         [
-          Iw_obs.Series.dref ~name:"arrivals" arrivals;
+          dcount "arrivals" Counter.Service_arrivals;
           Iw_obs.Series.dref ~name:"completed" completed;
-          Iw_obs.Series.dref ~name:"failed" failed;
-          Iw_obs.Series.dref ~name:"retries" retries;
-          Iw_obs.Series.dref ~name:"nacks" nacks;
-          Iw_obs.Series.dref ~name:"net_msgs" net_msgs;
-          Iw_obs.Series.dref ~name:"drops" net_drops;
-          Iw_obs.Series.dref ~name:"ejects" ejects;
-          Iw_obs.Series.dcol ~name:"faults" (fun () ->
-              Counter.get fctr Counter.Fault_injected);
+          dcount "failed" Counter.Service_failed;
+          dcount "retries" Counter.Net_retries;
+          dcount "nacks" Counter.Net_nacks;
+          dcount "net_msgs" Counter.Net_msgs;
+          dcount "drops" Counter.Net_drops;
+          dcount "ejects" Counter.Machine_ejects;
+          dcount "faults" Counter.Fault_injected;
           Iw_obs.Series.dref ~name:"slo_good" slo_good;
           Iw_obs.Series.dref ~name:"slo_total" slo_total;
-          Iw_obs.Series.col ~name:"burn_x1000" burn;
+          Iw_obs.Series.col ~name:"burn_x1000" burn_col;
           Iw_obs.Series.col ~name:"p50_cyc" (fun () ->
               Hist.win_percentile ewin 50.0);
           Iw_obs.Series.col ~name:"p99_cyc" (fun () ->
@@ -906,7 +882,7 @@ let run ?parallel cfg =
                     Iw_obs.Series.col ~name:(Printf.sprintf "m%d_depth" m)
                       (fun () -> Exec.depth mc.m_ex);
                     Iw_obs.Series.dcol ~name:(Printf.sprintf "m%d_completed" m)
-                      (fun () -> !(Exec.completed_ref mc.m_ex));
+                      (fun () -> Exec.completed mc.m_ex);
                   ])
                 machines))
       in
@@ -1066,15 +1042,15 @@ let run ?parallel cfg =
     fr_ghz = ghz;
     fr_window_cycles = w_c;
     fr_windows = !windows;
-    fr_arrivals = !arrivals;
+    fr_arrivals = count Counter.Service_arrivals;
     fr_completed = !completed;
-    fr_failed = !failed;
-    fr_retries = !retries;
-    fr_nacks = !nacks;
-    fr_net_msgs = !net_msgs;
-    fr_net_drops = !net_drops;
-    fr_gossip_msgs = !gossip_msgs;
-    fr_ejects = !ejects;
+    fr_failed = count Counter.Service_failed;
+    fr_retries = count Counter.Net_retries;
+    fr_nacks = count Counter.Net_nacks;
+    fr_net_msgs = count Counter.Net_msgs;
+    fr_net_drops = count Counter.Net_drops;
+    fr_gossip_msgs = count Counter.Gossip_msgs;
+    fr_ejects = count Counter.Machine_ejects;
     fr_elapsed_cycles = !elapsed;
     fr_throughput_rps =
       (if elapsed_s > 0.0 then float_of_int !completed /. elapsed_s else 0.0);
@@ -1087,17 +1063,17 @@ let run ?parallel cfg =
     fr_service = s;
     fr_m_names =
       Array.mapi (fun m mc -> Printf.sprintf "m%d:%s" m mc.m_spec.ms_name) machines;
-    fr_m_completed = Array.map (fun mc -> !(Exec.completed_ref mc.m_ex)) machines;
+    fr_m_completed = Array.map (fun mc -> Exec.completed mc.m_ex) machines;
     fr_m_busy = Array.map (fun mc -> Exec.busy_cycles mc.m_ex) machines;
     fr_m_counters =
       Array.map (fun mc -> Counter.to_list (Sched.counters mc.m_k)) machines;
     fr_slo_good = !slo_good;
     fr_slo_total = !slo_total;
-    fr_hedges = !hedges;
-    fr_hedge_wins = !hedge_wins;
-    fr_hedge_cancels = !hedge_cancels;
-    fr_admission_shed = !admission_shed;
-    fr_corrupt_retries = !corrupt_retries;
+    fr_hedges = count Counter.Hedge_sent;
+    fr_hedge_wins = count Counter.Hedge_won;
+    fr_hedge_cancels = count Counter.Hedge_cancel;
+    fr_admission_shed = count Counter.Admission_shed;
+    fr_corrupt_retries = count Counter.Corrupt_retry;
     fr_steals = Array.fold_left (fun acc mc -> acc + Exec.steals mc.m_ex) 0 machines;
     fr_brownouts = !brownouts;
     fr_nic_rx = nsum (fun (nic, _) -> Iw_hw.Nic.rx_pkts nic);

@@ -183,3 +183,9 @@ val run : ?parallel:bool -> config -> report
 
 val us_of_cycles : report -> int -> float
 val percentile_us : report -> Hist.t -> float -> float
+
+val burn : target:float -> good:int -> total:int -> float
+(** SLO burn rate [(total - good) / total / (1 - target)]: 1.0 burns
+    exactly the error budget, above eats into it.  0 when [total <= 0]
+    or [target >= 1].  The one formula behind the series [burn_x1000]
+    column, the [serve] summary and the R5–R8 tables. *)

@@ -148,13 +148,12 @@ let run cfg =
       ~mode:(Exec.Standalone replies) ()
   in
   let doorbells = Exec.doorbells ex in
-  let admitted = Exec.admitted_ref ex in
-  let completed = Exec.completed_ref ex in
   let gen_done = Exec.gen_done_ref ex in
   let stopping = Exec.stopping_ref ex in
-
-  let arrivals = ref 0 in
-  let shed = ref 0 and backpressure = ref 0 in
+  (* Every count lives once, in the kernel's counter set: the executor
+     bumps admitted/completed there, the generator arrivals/shed/
+     backpressure, and the series and report read them back. *)
+  let count id = Iw_obs.Counter.get ctr id in
 
   (* Online telemetry (ambient --sample-us): every period of virtual
      time, snapshot counter deltas, queue depth, and windowed latency
@@ -177,10 +176,12 @@ let run cfg =
         Iw_obs.Series.create ~name:"plane"
           ~cols:
             [
-              Iw_obs.Series.dref ~name:"arrivals" arrivals;
-              Iw_obs.Series.dref ~name:"admitted" admitted;
-              Iw_obs.Series.dref ~name:"completed" completed;
-              Iw_obs.Series.dref ~name:"shed" shed;
+              Iw_obs.Series.dcol ~name:"arrivals" (fun () ->
+                  count Iw_obs.Counter.Service_arrivals);
+              Iw_obs.Series.dcol ~name:"admitted" (fun () -> Exec.admitted ex);
+              Iw_obs.Series.dcol ~name:"completed" (fun () -> Exec.completed ex);
+              Iw_obs.Series.dcol ~name:"shed" (fun () ->
+                  count Iw_obs.Counter.Service_shed);
               Iw_obs.Series.col ~name:"depth" (fun () -> Exec.depth ex);
               Iw_obs.Series.col ~name:"p50_cyc" (fun () ->
                   Hist.win_percentile_many wins 50.0);
@@ -219,7 +220,6 @@ let run cfg =
       (* Closed loops stay coroutines: client count is small and fixed,
          and each client spends its life blocked on think or reply. *)
       let submit_cl c =
-        incr arrivals;
         Iw_obs.Counter.incr ctr Iw_obs.Counter.Service_arrivals;
         Api.overhead submit_cost;
         let hi = draw_hi () in
@@ -259,7 +259,6 @@ let run cfg =
                  if Api.now () <= duration_c then begin
                    let rec try_submit () =
                      if not (submit_cl c) then begin
-                       incr backpressure;
                        Iw_obs.Counter.incr ctr Iw_obs.Counter.Service_backpressure;
                        (* Closed loops back off instead of shedding. *)
                        Api.sleep (max 1 (cyc (cfg.work_us *. 2.0)));
@@ -275,7 +274,7 @@ let run cfg =
                decr live;
                if !live = 0 then begin
                  gen_done := true;
-                 if !completed = !admitted then initiate_stop ()
+                 if Exec.completed ex = Exec.admitted ex then initiate_stop ()
                end))
       done
   | _ ->
@@ -303,7 +302,7 @@ let run cfg =
           let target = Workload.next_cycles g in
           if target < 0 then begin
             gen_done := true;
-            if !completed = !admitted && not !stopping then begin
+            if Exec.completed ex = Exec.admitted ex && not !stopping then begin
               stopping := true;
               !stop_sampler ();
               Exec.stop_watchdog ex;
@@ -336,7 +335,6 @@ let run cfg =
         else assert false
 
       and lg_submit lg =
-        incr arrivals;
         Iw_obs.Counter.incr ctr Iw_obs.Counter.Service_arrivals;
         lg.l_state <- 2;
         Sched.flat_overhead k lg.l_fl submit_cost
@@ -352,7 +350,6 @@ let run cfg =
           Sched.flat_sem_post k lg.l_fl doorbells.(qi)
         end
         else begin
-          incr shed;
           Iw_obs.Counter.incr ctr Iw_obs.Counter.Service_shed;
           if Iw_obs.Trace.enabled tr then
             Iw_obs.Trace.instant tr ~name:"service:shed" ~cat:"service"
@@ -364,11 +361,17 @@ let run cfg =
       Sched.set_flat_step lg.l_fl (fun () -> lg_activation lg));
 
   (* Steady-state allocation is the run phase's measured quantity:
-     everything above was setup, everything below is readout. *)
+     everything above was setup, everything below is readout.  Minor
+     words come from [Gc.minor_words], which counts the live young
+     area; [Gc.quick_stat]'s figure only moves at minor collections,
+     so its delta would read the young pointer's position, not the
+     words this run allocated. *)
   let st0 = Gc.quick_stat () in
+  let mw0 = Gc.minor_words () in
   Sched.run k;
+  let mw1 = Gc.minor_words () in
   let st1 = Gc.quick_stat () in
-  let run_minor = st1.Gc.minor_words -. st0.Gc.minor_words in
+  let run_minor = mw1 -. mw0 in
   let run_major = st1.Gc.major_words -. st0.Gc.major_words in
 
   let merge shards =
@@ -379,6 +382,7 @@ let run cfg =
   let elapsed = Sched.now k in
   let elapsed_s = Iw_hw.Platform.us_of_cycles plat elapsed /. 1e6 in
   let busy = Exec.busy_cycles ex in
+  let completed = Exec.completed ex in
   {
     rep_os = os_name cfg.os;
     rep_backend = backend_name cfg.backend;
@@ -388,15 +392,15 @@ let run cfg =
     rep_offered_rps = Workload.offered_rps cfg.workload;
     rep_duration_us = Workload.duration_us cfg.workload;
     rep_ghz = plat.Iw_hw.Platform.ghz;
-    rep_arrivals = !arrivals;
-    rep_admitted = !admitted;
-    rep_completed = !completed;
-    rep_shed = !shed;
-    rep_backpressure = !backpressure;
+    rep_arrivals = count Iw_obs.Counter.Service_arrivals;
+    rep_admitted = Exec.admitted ex;
+    rep_completed = completed;
+    rep_shed = count Iw_obs.Counter.Service_shed;
+    rep_backpressure = count Iw_obs.Counter.Service_backpressure;
     rep_elapsed_cycles = elapsed;
     rep_busy_cycles = busy;
     rep_throughput_rps =
-      (if elapsed_s > 0.0 then float_of_int !completed /. elapsed_s else 0.0);
+      (if elapsed_s > 0.0 then float_of_int completed /. elapsed_s else 0.0);
     rep_utilization =
       (if elapsed > 0 then
          float_of_int busy /. float_of_int (cfg.workers * elapsed)

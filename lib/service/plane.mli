@@ -74,14 +74,16 @@ type report = {
   rep_pool_hits : int;  (** Virtine backend only. *)
   rep_spawns : int;
   rep_run_minor_words : float;
-      (** OCaml minor-heap words allocated during the run phase (load
-          + service; setup and readout excluded).  Divide by
-          [rep_completed] for the per-request allocation profile.
-          Caveat: [Gc.quick_stat] folds in stats from terminated
-          sibling domains, so this is only a clean per-run figure
-          when nothing else runs concurrently in the process (the
-          [serve] CLI; not the [--jobs N] experiment driver). *)
-  rep_run_major_words : float;  (** Major-heap words, same window. *)
+      (** OCaml minor-heap words this domain allocated during the run
+          phase (load + service; setup and readout excluded), read
+          with [Gc.minor_words], which includes the live young area.
+          Divide by [rep_completed] for the per-request allocation
+          profile. *)
+  rep_run_major_words : float;
+      (** Major-heap words, same window, from [Gc.quick_stat]: it moves
+          only at collections and folds in terminated sibling domains,
+          so it is a clean figure only when nothing else runs in the
+          process (the [serve] CLI). *)
   rep_arena_capacity : int;  (** Request-arena high-water capacity. *)
   rep_arena_grows : int;
       (** Times the request arena doubled — stops moving once the

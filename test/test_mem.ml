@@ -1,4 +1,4 @@
-(* Tests for the memory substrate: buddy allocator, NUMA zones,
+(* Tests for the memory substrate: buddy allocator and
    address-space regimes. *)
 
 open Iw_mem
@@ -93,38 +93,6 @@ let prop_buddy_alloc_free_restores =
       Buddy.largest_free_block b = 4096 && Buddy.allocated_bytes b = 0)
 
 (* ------------------------------------------------------------------ *)
-(* Numa *)
-
-let test_numa_local_preference () =
-  let n = Numa.create ~zones:4 ~zone_size:1024 ~min_block:16 in
-  let a = Option.get (Numa.alloc n ~zone:2 64) in
-  check_int "lands in zone 2" 2 (Numa.zone_of_addr n a);
-  check_int "no fallbacks" 0 (Numa.remote_fallbacks n)
-
-let test_numa_fallback () =
-  let n = Numa.create ~zones:2 ~zone_size:64 ~min_block:16 in
-  (* Fill zone 0 completely. *)
-  for _ = 1 to 4 do
-    ignore (Numa.alloc n ~zone:0 16)
-  done;
-  let a = Option.get (Numa.alloc n ~zone:0 16) in
-  check_int "fell back to zone 1" 1 (Numa.zone_of_addr n a);
-  check_int "fallback counted" 1 (Numa.remote_fallbacks n)
-
-let test_numa_strict_local_fails () =
-  let n = Numa.create ~zones:2 ~zone_size:64 ~min_block:16 in
-  for _ = 1 to 4 do
-    ignore (Numa.alloc_local n ~zone:0 16)
-  done;
-  check_bool "strict local exhausted" true (Numa.alloc_local n ~zone:0 16 = None)
-
-let test_numa_free_via_any_zone () =
-  let n = Numa.create ~zones:3 ~zone_size:1024 ~min_block:16 in
-  let a = Option.get (Numa.alloc n ~zone:1 32) in
-  Numa.free n a;
-  check_int "freed" 0 (Numa.allocated_bytes n 1)
-
-(* ------------------------------------------------------------------ *)
 (* Address spaces *)
 
 let plat = Iw_hw.Platform.small
@@ -167,16 +135,6 @@ let () =
             test_buddy_fragmentation_metric;
           q prop_buddy_no_overlap;
           q prop_buddy_alloc_free_restores;
-        ] );
-      ( "numa",
-        [
-          Alcotest.test_case "local preference" `Quick
-            test_numa_local_preference;
-          Alcotest.test_case "fallback" `Quick test_numa_fallback;
-          Alcotest.test_case "strict local fails" `Quick
-            test_numa_strict_local_fails;
-          Alcotest.test_case "free via any zone" `Quick
-            test_numa_free_via_any_zone;
         ] );
       ( "address-space",
         [

@@ -917,6 +917,99 @@ let test_fleet_brownout_recovers_par_serial () =
   check_int "bw-wjsq conserves" aware.fr_arrivals
     (aware.fr_completed + aware.fr_failed)
 
+(* Run [f] under a collecting ambient and return its result with the
+   cell-wise counter totals of every component it created. *)
+let collected f =
+  let obs = Iw_obs.Obs.create ~collect:true () in
+  let r = Iw_obs.Obs.with_ambient obs f in
+  (r, Iw_obs.Obs.total_counters obs)
+
+let test_fleet_report_counts_are_counters () =
+  (* Every count a fleet report carries is the total of one typed
+     counter: the report reads the counter, it does not keep a copy. *)
+  let r, tot =
+    collected (fun () ->
+        with_kinds ~rate:0.03 ~seed:7
+          Iw_faults.Plan.[ Worker_hang; Req_corrupt; Link_drop ]
+          (fun () ->
+            Iw_service.Fleet.run
+              {
+                (small_fleet ~rps:300_000.0 ()) with
+                Iw_service.Fleet.fc_deadline_us = 150.0;
+                fc_hedge_frac = 0.3;
+                fc_hedge_budget = 0.2;
+                fc_admit = true;
+                fc_nic = true;
+              }))
+  in
+  let g = Iw_obs.Counter.get tot in
+  let eq name field id =
+    check_int (name ^ " = counter total") field (g id)
+  in
+  let open Iw_obs.Counter in
+  List.iter
+    (fun (name, v) -> check_bool (name ^ " exercised") true (v > 0))
+    [
+      ("arrivals", r.fr_arrivals); ("retries", r.fr_retries);
+      ("hedges", r.fr_hedges); ("steals", r.fr_steals);
+      ("corrupt retries", r.fr_corrupt_retries); ("drops", r.fr_net_drops);
+      ("nic rx", r.fr_nic_rx);
+    ];
+  eq "fr_arrivals" r.fr_arrivals Service_arrivals;
+  eq "fr_failed" r.fr_failed Service_failed;
+  eq "fr_retries" r.fr_retries Net_retries;
+  eq "fr_nacks" r.fr_nacks Net_nacks;
+  eq "fr_net_msgs" r.fr_net_msgs Net_msgs;
+  eq "fr_net_drops" r.fr_net_drops Net_drops;
+  eq "fr_gossip_msgs" r.fr_gossip_msgs Gossip_msgs;
+  eq "fr_ejects" r.fr_ejects Machine_ejects;
+  eq "fr_hedges" r.fr_hedges Hedge_sent;
+  eq "fr_hedge_wins" r.fr_hedge_wins Hedge_won;
+  eq "fr_hedge_cancels" r.fr_hedge_cancels Hedge_cancel;
+  eq "fr_admission_shed" r.fr_admission_shed Admission_shed;
+  eq "fr_corrupt_retries" r.fr_corrupt_retries Corrupt_retry;
+  eq "fr_steals" r.fr_steals Peer_steal;
+  eq "sum fr_m_completed" (Array.fold_left ( + ) 0 r.fr_m_completed)
+    Service_completions;
+  eq "fr_nic_rx" r.fr_nic_rx Nic_rx_pkts;
+  eq "fr_nic_drops" r.fr_nic_drops Nic_rx_drops;
+  eq "fr_nic_irqs" r.fr_nic_irqs Nic_irqs;
+  eq "fr_nic_polls" r.fr_nic_polls Nic_polls;
+  eq "fr_nic_empty_polls" r.fr_nic_empty_polls Nic_poll_empty;
+  eq "fr_nic_tx" r.fr_nic_tx Nic_tx_pkts
+
+let test_plane_report_counts_are_counters () =
+  (* Same claim for the standalone plane: an overloaded open loop
+     (sheds) and a closed loop against tiny queues (backpressure). *)
+  let check_plane what cfg =
+    let r, tot = collected (fun () -> Plane.run cfg) in
+    let g = Iw_obs.Counter.get tot in
+    let eq name field id = check_int (what ^ " " ^ name) field (g id) in
+    let open Iw_obs.Counter in
+    eq "rep_arrivals" r.rep_arrivals Service_arrivals;
+    eq "rep_admitted" r.rep_admitted Service_admitted;
+    eq "rep_completed" r.rep_completed Service_completions;
+    eq "rep_shed" r.rep_shed Service_shed;
+    eq "rep_backpressure" r.rep_backpressure Service_backpressure;
+    r
+  in
+  let o =
+    check_plane "open"
+      { (small_cfg ()) with
+        queue_cap = 4;
+        workload = Workload.Poisson { rps = 400_000.0; duration_us = 5_000.0 } }
+  in
+  check_bool "open loop shed" true (o.rep_shed > 0);
+  let c =
+    check_plane "closed"
+      { (small_cfg ()) with
+        workers = 1;
+        queue_cap = 1;
+        workload =
+          Workload.Closed { clients = 6; think_us = 5.0; duration_us = 5_000.0 } }
+  in
+  check_bool "closed loop backpressured" true (c.rep_backpressure > 0)
+
 let test_fleet_counter_table () =
   let r = Iw_service.Fleet.run (small_fleet ()) in
   let members =
@@ -1021,6 +1114,8 @@ let () =
             test_fleet_brownout_recovers_par_serial;
           Alcotest.test_case "fleet counter table" `Quick
             test_fleet_counter_table;
+          Alcotest.test_case "report counts = counter totals" `Quick
+            test_fleet_report_counts_are_counters;
         ] );
       ( "workload",
         [
@@ -1039,6 +1134,8 @@ let () =
         [
           Alcotest.test_case "conserves requests" `Quick
             test_plane_conserves_requests;
+          Alcotest.test_case "report counts = counter totals" `Quick
+            test_plane_report_counts_are_counters;
           Alcotest.test_case "deterministic" `Quick test_plane_deterministic;
           Alcotest.test_case "virtine backend" `Quick test_plane_virtine_backend;
           Alcotest.test_case "closed loop" `Quick test_plane_closed_loop;
