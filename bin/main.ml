@@ -1082,6 +1082,18 @@ let serve_cmd =
     if hedge_budget < 0.0 then die "serve: --hedge-budget must be >= 0";
     if slo_target <= 0.0 || slo_target > 1.0 then
       die "serve: --slo-target must be in (0,1]";
+    if hi_frac < 0.0 || hi_frac > 1.0 then die "serve: --hi-frac must be in [0,1]";
+    List.iter
+      (fun (name, v) -> if v < 0.0 then die "serve: --%s must be >= 0" name)
+      [
+        ("sample-us", sample_us);
+        ("gossip-us", gossip_us);
+        ("deadline-us", deadline_us);
+        ("slo-us", slo_us);
+        ("work-us", work_us);
+        ("think-us", think_us);
+      ];
+    if machines < 0 then die "serve: --machines must be >= 0";
     let rx_mode =
       match Iw_kernel.Nic_driver.mode_of_string rx_mode with
       | Some m -> m
@@ -1146,6 +1158,9 @@ let serve_cmd =
         if alloc_budget <> None then
           die "serve: --alloc-budget applies to the single-machine plane only";
         if net_bw <= 0.0 then die "serve: --net-bw must be > 0";
+        (* The link latency is also the conservative sync window: below
+           a microsecond the fleet crawls through one-cycle windows. *)
+        if net_lat < 1.0 then die "serve: --net-lat must be >= 1 us";
         let net =
           { Iw_service.Net.default with nc_lat_us = net_lat; nc_gbps = net_bw }
         in

@@ -2398,12 +2398,17 @@ type alloc = { alloc_minor_words : float; alloc_major_words : float }
 
 let run_with_counters ?trace e =
   let obs = Iw_obs.Obs.create ?trace ~collect:true () in
+  (* [Gc.minor_words] is exact and domain-local; [quick_stat]'s minor
+     count moves only at minor collections and folds in sibling
+     domains, so it serves only for the major figure. *)
   let g0 = Gc.quick_stat () in
+  let m0 = Gc.minor_words () in
   let out = Iw_obs.Obs.with_ambient obs (fun () -> run_to_string e) in
+  let m1 = Gc.minor_words () in
   let g1 = Gc.quick_stat () in
   let alloc =
     {
-      alloc_minor_words = g1.Gc.minor_words -. g0.Gc.minor_words;
+      alloc_minor_words = m1 -. m0;
       alloc_major_words = g1.Gc.major_words -. g0.Gc.major_words;
     }
   in

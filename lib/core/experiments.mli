@@ -24,8 +24,10 @@ val run_to_string : experiment -> string
 
 type alloc = {
   alloc_minor_words : float;
-      (** OCaml minor-heap words allocated while the experiment ran
-          (current domain). *)
+      (** OCaml minor-heap words allocated while the experiment ran,
+          exactly, by [Gc.minor_words] deltas: the current domain
+          only, so words allocated by domains the run spawns (a
+          parallel fleet's machines) are not included. *)
   alloc_major_words : float;
       (** Major-heap words over the same window: direct large-block
           allocation plus promotions, so less stable run-to-run than

@@ -120,28 +120,28 @@ let int_in t lo hi =
 (* 2^53 *)
 let two53 = 9007199254740992.0
 
-let float t bound = bound *. (float_of_int (raw53 t) /. two53)
+let[@inline] float t bound = bound *. (float_of_int (raw53 t) /. two53)
 
 let bool t =
   step t;
   t.o_lo land 1 = 1
 
-let gaussian t ~mu ~sigma =
-  let rec draw () =
-    let u1 = float t 1.0 in
-    if u1 <= 1e-12 then draw ()
-    else
-      let u2 = float t 1.0 in
-      mu +. (sigma *. sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2))
-  in
-  draw ()
+(* A uniform draw in (1e-12, 1), redrawing the (astronomically rare)
+   near-zero values.  A loop over a local float, not a recursive
+   closure, so the draw itself boxes nothing. *)
+let[@inline] nonzero_unit t =
+  let u = ref (float t 1.0) in
+  while !u <= 1e-12 do
+    u := float t 1.0
+  done;
+  !u
 
-let exponential t ~mean =
-  let rec draw () =
-    let u = float t 1.0 in
-    if u <= 1e-12 then draw () else -.mean *. log u
-  in
-  draw ()
+let[@inline] gaussian t ~mu ~sigma =
+  let u1 = nonzero_unit t in
+  let u2 = float t 1.0 in
+  mu +. (sigma *. sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2))
+
+let exponential t ~mean = -.mean *. log (nonzero_unit t)
 
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do

@@ -13,7 +13,8 @@ type t = { mutable data : float array; mutable size : int }
 
 let create () = { data = [||]; size = 0 }
 
-let add t x =
+(* Inlined so that [add_int]'s converted float is stored unboxed. *)
+let[@inline] add t x =
   if t.size = Array.length t.data then begin
     let cap = max 16 (2 * Array.length t.data) in
     let data = Array.make cap 0.0 in

@@ -78,15 +78,76 @@ type report = {
 
 (* ------------------------------------------------------------------ *)
 
-type task = { t_items : int; t_grain : int }
+(* A worker's stealable tasks as a growable circular pair of int
+   arrays: a promotion pushes no record and no cons cell.  [top] and
+   [bot] count steals and pushes; slot [i] lives at
+   [i land (capacity - 1)], the capacity staying a power of two. *)
+module Taskq = struct
+  type t = {
+    mutable items : int array;
+    mutable grains : int array;
+    mutable top : int;  (* oldest task; thieves take from here *)
+    mutable bot : int;  (* one past the newest; the owner's end *)
+  }
 
-type exec = { mutable e_items : int; e_grain : int }
+  let create () =
+    { items = Array.make 8 0; grains = Array.make 8 0; top = 0; bot = 0 }
+
+  let is_empty q = q.bot = q.top
+
+  let push q ~items ~grain =
+    let cap = Array.length q.items in
+    if q.bot - q.top = cap then begin
+      let grow a =
+        let b = Array.make (2 * cap) 0 in
+        for i = q.top to q.bot - 1 do
+          b.(i land ((2 * cap) - 1)) <- a.(i land (cap - 1))
+        done;
+        b
+      in
+      q.items <- grow q.items;
+      q.grains <- grow q.grains
+    end;
+    let j = q.bot land (Array.length q.items - 1) in
+    q.items.(j) <- items;
+    q.grains.(j) <- grain;
+    q.bot <- q.bot + 1
+
+  (* [pop] (the newest task) and [steal] (the oldest) remove a task and
+     return its slot, valid until the next [push]; -1 when empty. *)
+  let pop q =
+    if is_empty q then -1
+    else begin
+      q.bot <- q.bot - 1;
+      q.bot land (Array.length q.items - 1)
+    end
+
+  let steal q =
+    if is_empty q then -1
+    else begin
+      q.top <- q.top + 1;
+      (q.top - 1) land (Array.length q.items - 1)
+    end
+end
+
+(* What a worker does when its step function next runs. *)
+type phase =
+  | Idle  (* top of the loop: take a task, or pick a victim *)
+  | Popped  (* paid the pop; run the task *)
+  | Stealing  (* paid the steal attempt; look at the victim *)
+  | Running  (* the task's work was granted; it is done *)
 
 type wstate = {
   wid : int;
-  dq : task Deque.t;
-  mutable cur : exec option;
-  mutable wthread : Sched.thread option;
+  dq : Taskq.t;
+  flat : Sched.flat;
+  mutable phase : phase;
+  (* The task in hand, taken by a pop or a steal and executing while
+     [phase = Running]; a promotion shrinks [cur_items]. *)
+  mutable cur_items : int;
+  mutable cur_grain : int;
+  mutable backoff : int;
+  mutable victim : int;
 }
 
 type shared = {
@@ -108,8 +169,8 @@ let promotion_cost = 120
 
 (* Heartbeat arrival on [cpu], in interrupt context.  If the worker is
    mid-range with at least two items left, split off the upper half as
-   a stealable task and shrink both the execution record and the
-   cycles the scheduler still owes the thread. *)
+   a stealable task and shrink both the running task and the cycles
+   the scheduler still owes the thread. *)
 let on_heartbeat sh cpu ~preempted =
   sh.deliveries <- sh.deliveries + 1;
   let obs = Sched.obs sh.k in
@@ -118,108 +179,118 @@ let on_heartbeat sh cpu ~preempted =
   if sh.last_beat.(cpu) >= 0 then
     Stats.add_int sh.gaps (now - sh.last_beat.(cpu));
   sh.last_beat.(cpu) <- now;
-  let cost = ref promotion_check_cost in
-  (if preempted >= 0 then begin
-     let r = preempted in
-     let w = sh.ws.(cpu) in
-      let promoted =
-        match (w.cur, Sched.current_thread sh.k cpu, w.wthread) with
-        | Some e, Some running, Some mine
-          when Sched.thread_id running = Sched.thread_id mine ->
-            let rem = r / e.e_grain in
-            if rem >= sh.promote_div then begin
-              let promote = rem / sh.promote_div in
-              Deque.push_bottom w.dq { t_items = promote; t_grain = e.e_grain };
-              e.e_items <- e.e_items - promote;
-              sh.promotions <- sh.promotions + 1;
-              Iw_obs.Counter.incr obs.Iw_obs.Obs.counters
-                Iw_obs.Counter.Promotions;
-              if obs.Iw_obs.Obs.trace.Iw_obs.Trace.enabled then
-                Iw_obs.Trace.instant obs.Iw_obs.Obs.trace ~name:"promote"
-                  ~cat:"heartbeat" ~cpu ~ts:now ();
-              cost := !cost + promotion_cost;
-              Sched.stash_preempted sh.k cpu (r - (promote * e.e_grain));
-              true
-            end
-            else false
-        | _ -> false
-      in
-     if not promoted then Sched.stash_preempted sh.k cpu r
-   end);
-  !cost
-
-let worker_body sh w () =
-  let plat = Sched.platform sh.k in
-  let costs = plat.Platform.costs in
-  let obs = Sched.obs sh.k in
-  let nworkers = Array.length sh.ws in
-  let execute t =
-    let e = { e_items = t.t_items; e_grain = t.t_grain } in
-    w.cur <- Some e;
-    Coro.consume (t.t_items * t.t_grain);
-    w.cur <- None;
-    (* Promotions shrank [e]; what remains in it is what we ran. *)
-    sh.remaining <- sh.remaining - e.e_items;
-    Api.overhead costs.atomic_rmw
-  in
-  let rec loop backoff =
-    if sh.remaining > 0 then begin
-      match Deque.pop_bottom w.dq with
-      | Some t ->
-          Api.overhead 20;
-          execute t;
-          loop 150
-      | None ->
-          if nworkers = 1 then loop backoff
-          else begin
-            let victim =
-              let v = Rng.int sh.srng (nworkers - 1) in
-              if v >= w.wid then v + 1 else v
-            in
-            Api.overhead (costs.atomic_rmw + costs.cache_line_remote);
-            match Deque.steal_top sh.ws.(victim).dq with
-            | Some t ->
-                sh.steals <- sh.steals + 1;
-                Iw_obs.Counter.incr obs.Iw_obs.Obs.counters Iw_obs.Counter.Steals;
-                (let tr = obs.Iw_obs.Obs.trace in
-                 if tr.Iw_obs.Trace.enabled then
-                   Iw_obs.Trace.instant tr ~name:"steal" ~cat:"heartbeat"
-                     ~cpu:w.wid ~ts:(Sched.now sh.k) ());
-                execute t;
-                loop 150
-            | None ->
-                Api.overhead backoff;
-                loop (min (backoff * 2) 30_000)
-          end
+  if preempted < 0 then promotion_check_cost
+  else begin
+    let w = sh.ws.(cpu) in
+    let rem =
+      if w.phase = Running && Sched.current_is sh.k cpu (Sched.flat_thread w.flat)
+      then preempted / w.cur_grain
+      else 0
+    in
+    if rem >= sh.promote_div then begin
+      let promote = rem / sh.promote_div in
+      Taskq.push w.dq ~items:promote ~grain:w.cur_grain;
+      w.cur_items <- w.cur_items - promote;
+      sh.promotions <- sh.promotions + 1;
+      Iw_obs.Counter.incr obs.Iw_obs.Obs.counters Iw_obs.Counter.Promotions;
+      if obs.Iw_obs.Obs.trace.Iw_obs.Trace.enabled then
+        Iw_obs.Trace.instant obs.Iw_obs.Obs.trace ~name:"promote"
+          ~cat:"heartbeat" ~cpu ~ts:now ();
+      Sched.stash_preempted sh.k cpu (preempted - (promote * w.cur_grain));
+      promotion_check_cost + promotion_cost
     end
-  in
-  loop 150
+    else begin
+      Sched.stash_preempted sh.k cpu preempted;
+      promotion_check_cost
+    end
+  end
+
+let take w q j =
+  w.cur_items <- q.Taskq.items.(j);
+  w.cur_grain <- q.Taskq.grains.(j)
+
+let run_task sh w =
+  w.phase <- Running;
+  Sched.flat_work sh.k w.flat (w.cur_items * w.cur_grain)
+
+(* The worker loop as a flat thread: pop a task from the own deque's
+   bottom (paying 20 cycles), else pay a steal attempt on a random
+   victim's top, else back off exponentially; a task runs as one work
+   grant followed by an atomic update of [remaining]. *)
+let rec worker_step sh w () =
+  let k = sh.k and f = w.flat in
+  let costs = (Sched.platform k).Platform.costs in
+  match w.phase with
+  | Idle ->
+      let nworkers = Array.length sh.ws in
+      if sh.remaining <= 0 then Sched.flat_exit k f
+      else
+        let j = Taskq.pop w.dq in
+        if j >= 0 then begin
+          take w w.dq j;
+          w.phase <- Popped;
+          Sched.flat_overhead k f 20
+        end
+        else if nworkers = 1 then worker_step sh w ()
+        else begin
+          let v = Rng.int sh.srng (nworkers - 1) in
+          w.victim <- (if v >= w.wid then v + 1 else v);
+          w.phase <- Stealing;
+          Sched.flat_overhead k f (costs.atomic_rmw + costs.cache_line_remote)
+        end
+  | Popped -> run_task sh w
+  | Stealing ->
+      let q = sh.ws.(w.victim).dq in
+      let j = Taskq.steal q in
+      if j < 0 then begin
+        let b = w.backoff in
+        w.backoff <- min (b * 2) 30_000;
+        w.phase <- Idle;
+        Sched.flat_overhead k f b
+      end
+      else begin
+        take w q j;
+        sh.steals <- sh.steals + 1;
+        let obs = Sched.obs k in
+        Iw_obs.Counter.incr obs.Iw_obs.Obs.counters Iw_obs.Counter.Steals;
+        (let tr = obs.Iw_obs.Obs.trace in
+         if tr.Iw_obs.Trace.enabled then
+           Iw_obs.Trace.instant tr ~name:"steal" ~cat:"heartbeat" ~cpu:w.wid
+             ~ts:(Sched.now k) ());
+        run_task sh w
+      end
+  | Running ->
+      (* Promotions shrank [cur_items]; what remains is what ran. *)
+      sh.remaining <- sh.remaining - w.cur_items;
+      w.backoff <- 150;
+      w.phase <- Idle;
+      Sched.flat_overhead k f costs.atomic_rmw
 
 let install_nk_driver sh ~period =
   let k = sh.k in
   let plat = Sched.platform k in
   let costs = plat.Platform.costs in
   let nworkers = Array.length sh.ws in
-  let others =
-    List.init (nworkers - 1) (fun i -> Sched.cpu k (i + 1))
-  in
+  let targets = List.init (nworkers - 1) (fun i -> Sched.cpu k (i + 1)) in
+  let handler cpu ~preempted = on_heartbeat sh cpu ~preempted in
+  let after cpu = Sched.resched_or_resume k cpu in
   (* Under an active fault plan the wire may drop or delay heartbeats;
      switch the broadcast to the acknowledged, resending variant.  The
      quiet-wire path keeps the plain fire-and-forget broadcast, which
      is byte-identical to the historical behavior. *)
-  let bcast =
-    if Iw_faults.Plan.enabled (Iw_faults.Plan.ambient ()) then
-      Reliable_ipi.broadcast ?timeout:None
-    else Ipi.broadcast
+  let broadcast =
+    if Iw_faults.Plan.enabled (Iw_faults.Plan.ambient ()) then fun () ->
+      Reliable_ipi.broadcast (Sched.sim k) plat ~targets ~handler ~after
+    else
+      let g = Ipi.group (Sched.sim k) plat ~targets ~handler ~after in
+      fun () -> Ipi.fire g
   in
   Lapic.periodic (Sched.lapic k 0) ~period
     ~handler:(fun ~preempted ->
       (* CPU 0 takes the timer vector, broadcasts one ICR write, and
          handles its own heartbeat. *)
       let c = on_heartbeat sh 0 ~preempted in
-      bcast (Sched.sim k) plat ~targets:others
-        ~handler:(fun cpu ~preempted -> on_heartbeat sh cpu ~preempted)
-        ~after:(fun cpu -> Sched.resched_or_resume k cpu);
+      broadcast ();
       c + costs.ipi_send)
     ~after:(fun () -> Sched.resched_or_resume k 0)
     ()
@@ -297,7 +368,25 @@ let run ?(promote_div = 2) plat (config : config) bench =
       k;
       ws =
         Array.init config.workers (fun wid ->
-            { wid; dq = Deque.create (); cur = None; wthread = None });
+            {
+              wid;
+              dq = Taskq.create ();
+              flat =
+                Sched.spawn_flat k
+                  ~spec:
+                    {
+                      Sched.sp_name = Printf.sprintf "tpal-%d" wid;
+                      sp_cpu = Some wid;
+                      sp_fp = false;
+                      sp_rt = false;
+                    }
+                  ();
+              phase = Idle;
+              cur_items = 0;
+              cur_grain = 0;
+              backoff = 150;
+              victim = 0;
+            });
       promote_div = max 2 promote_div;
       remaining = total_items bench;
       promotions = 0;
@@ -312,27 +401,10 @@ let run ?(promote_div = 2) plat (config : config) bench =
   (* All initial work lands on worker 0; heartbeat promotion and
      stealing spread it. *)
   List.iter
-    (fun r -> Deque.push_bottom sh.ws.(0).dq { t_items = r.items; t_grain = r.grain })
+    (fun r -> Taskq.push sh.ws.(0).dq ~items:r.items ~grain:r.grain)
     bench.ranges;
+  Array.iter (fun w -> Sched.set_flat_step w.flat (worker_step sh w)) sh.ws;
   let period = Platform.cycles_of_us plat config.heartbeat_us in
-  let workers =
-    Array.map
-      (fun w ->
-        let th =
-          Sched.spawn k
-            ~spec:
-              {
-                Sched.sp_name = Printf.sprintf "tpal-%d" w.wid;
-                sp_cpu = Some w.wid;
-                sp_fp = false;
-                sp_rt = false;
-              }
-            (worker_body sh w)
-        in
-        w.wthread <- Some th;
-        th)
-      sh.ws
-  in
   let itimers = ref [||] in
   (match config.driver with
   | Nk_ipi -> install_nk_driver sh ~period
@@ -345,7 +417,7 @@ let run ?(promote_div = 2) plat (config : config) bench =
        ~spec:
          { Sched.sp_name = "tpal-main"; sp_cpu = Some 0; sp_fp = false; sp_rt = false }
        (fun () ->
-         Array.iter Api.join workers;
+         Array.iter (fun w -> Api.join (Sched.flat_thread w.flat)) sh.ws;
          sh.finish <- Api.now ();
          Array.iter Iw_linuxsim.Itimer.stop !itimers));
   Sched.run ~horizon:(200 * serial_cycles bench) k;

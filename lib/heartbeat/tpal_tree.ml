@@ -140,13 +140,16 @@ let install_driver sh ~period =
   let plat = Sched.platform k in
   let costs = plat.Platform.costs in
   let nworkers = Array.length sh.ws in
-  let others = List.init (nworkers - 1) (fun i -> Sched.cpu k (i + 1)) in
+  let others =
+    Ipi.group (Sched.sim k) plat
+      ~targets:(List.init (nworkers - 1) (fun i -> Sched.cpu k (i + 1)))
+      ~handler:(fun cpu ~preempted -> on_heartbeat sh cpu ~preempted)
+      ~after:(fun cpu -> Sched.resched_or_resume k cpu)
+  in
   Lapic.periodic (Sched.lapic k 0) ~period
     ~handler:(fun ~preempted ->
       let c = on_heartbeat sh 0 ~preempted in
-      Ipi.broadcast (Sched.sim k) plat ~targets:others
-        ~handler:(fun cpu ~preempted -> on_heartbeat sh cpu ~preempted)
-        ~after:(fun cpu -> Sched.resched_or_resume k cpu);
+      Ipi.fire others;
       c + costs.ipi_send)
     ~after:(fun () -> Sched.resched_or_resume k 0)
     ()

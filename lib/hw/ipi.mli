@@ -14,14 +14,22 @@ val send :
   unit
 (** Deliver a single IPI to [target]. *)
 
-val broadcast :
+type group
+(** A fixed set of targets with their handlers, built once: every
+    {!fire} reuses the same per-target delivery closures. *)
+
+val group :
   Iw_engine.Sim.t ->
   Platform.t ->
   targets:Cpu.t list ->
   handler:(int -> preempted:int -> int) ->
   after:(int -> unit) ->
-  unit
-(** One ICR broadcast: every target receives the interrupt after the
-    same fabric latency.  [handler] and [after] receive the target
-    core id.  This is the §IV-B Nautilus heartbeat mechanism: one
-    LAPIC timer tick on CPU 0 fans out to all workers at once. *)
+  group
+(** [handler] and [after] receive the target core id. *)
+
+val fire : group -> unit
+(** One ICR broadcast: a {!send} to every target, in list order, each
+    receiving the interrupt after the same fabric latency.  This is
+    the §IV-B Nautilus heartbeat mechanism: one LAPIC timer tick on
+    CPU 0 fans out to all workers at once.  On a quiet wire it
+    allocates nothing. *)

@@ -17,6 +17,10 @@ type t = {
   uncontended_sync : int;
 }
 
+(* [max 0.0 x] for the jitter draws, typed so that the float is not
+   boxed for the polymorphic [max] on every timer expiry. *)
+let clamp0 x = if x > 0.0 then x else 0.0
+
 let nautilus plat =
   let c = plat.Iw_hw.Platform.costs in
   {
@@ -65,7 +69,7 @@ let linux plat =
            non-preemptible section; these are what keep user-level
            event delivery from tracking a fine-grained grid (§IV-B). *)
         let slack =
-          max 0.0 (Iw_engine.Rng.gaussian rng ~mu:8000.0 ~sigma:8000.0)
+          clamp0 (Iw_engine.Rng.gaussian rng ~mu:8000.0 ~sigma:8000.0)
         in
         let tail =
           if Iw_engine.Rng.float rng 1.0 < 0.08 then
@@ -99,5 +103,5 @@ let linux_rt plat =
     timer_jitter =
       (fun rng ->
         int_of_float
-          (max 0.0 (Iw_engine.Rng.gaussian rng ~mu:400.0 ~sigma:250.0)));
+          (clamp0 (Iw_engine.Rng.gaussian rng ~mu:400.0 ~sigma:250.0)));
   }

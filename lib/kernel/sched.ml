@@ -653,6 +653,8 @@ let current_thread t cid =
   let th = t.current.(cid) in
   if th == nil_thread then None else Some th
 
+let current_is t cid th = t.current.(cid) == th
+
 let stash_preempted t cid remaining =
   let th = t.current.(cid) in
   if th != nil_thread then

@@ -199,6 +199,10 @@ val current_thread : t -> int -> thread option
 (** What is (or was) running on a CPU — valid inside interrupt
     handlers to identify the preempted thread. *)
 
+val current_is : t -> int -> thread -> bool
+(** [current_is t cpu th]: whether [th] is what {!current_thread}
+    reports for [cpu], without boxing an option. *)
+
 val stash_preempted : t -> int -> int -> unit
 (** [stash_preempted t cpu remaining]: record that the running
     thread's current quantum was cut short with [remaining] cycles

@@ -23,6 +23,29 @@ type region = {
   mutable r_next : int;
 }
 
+(* Where a team member is in its share of a region or, for a worker,
+   in the loop around it.  The share phases are one state machine that
+   both the workers (flat threads) and the master (a coroutine) step
+   through [share_next]. *)
+type phase =
+  | Await  (* worker: poll for the next generation *)
+  | Begin  (* share: start (PIK shim) *)
+  | First  (* share: static chunk, or the first fetch *)
+  | Fetched  (* share: paid a fetch; claim a chunk *)
+  | Ran  (* share: a chunk's work is done *)
+  | Arrive  (* worker: paid the arrival; count it *)
+
+type member = {
+  wid : int;
+  mutable cpu : int;  (* bound CPU: span track and fault attribution *)
+  mutable ph : phase;
+  mutable gen : int;  (* worker: next generation to run *)
+  mutable spins : int;
+  mutable work : bool;  (* the cycles [share_next] returned are work *)
+  mutable share_start : int;
+  mutable chunk_start : int;
+}
+
 type t = {
   k : Sched.t;
   mode : mode;
@@ -32,6 +55,7 @@ type t = {
   mutable arrived : int;  (* workers done with the current region *)
   mutable lost : int;  (* arrivals swallowed by injected barrier faults *)
   mutable team : Sched.thread list;
+  master : member;
   tasks : Task.t option;  (* CCK backend *)
   mutable stopping : bool;
   mutable nregions : int;
@@ -55,11 +79,14 @@ let sum_cycles f lo hi =
   done;
   !acc
 
-(* Run one chunk's iterations, wrapped in an "omp_chunk" span on the
-   running CPU's track when tracing is on.  The R_now/R_cpu scheduler
-   requests are pure queries (the thread continues immediately, no
-   cost is charged), so the traced and untraced runs stay
-   cycle-identical — and with tracing off this is just the consume. *)
+let trace t = (Sched.obs t.k).Iw_obs.Obs.trace
+let tracing t = (trace t).Iw_obs.Trace.enabled
+let costs t = (Sched.platform t.k).Iw_hw.Platform.costs
+
+(* A CCK task's chunk, wrapped in an "omp_chunk" span on the running
+   CPU's track when tracing is on.  The R_now/R_cpu scheduler requests
+   are pure queries (the thread continues immediately, no cost is
+   charged), so the traced and untraced runs stay cycle-identical. *)
 let consume_chunk tr cycles =
   if tr.Iw_obs.Trace.enabled then begin
     let cpu = Api.cpu_id () in
@@ -71,94 +98,153 @@ let consume_chunk tr cycles =
   end
   else Coro.consume cycles
 
-let run_share t (r : region) wid =
-  let plat = Sched.platform t.k in
-  let costs = plat.Iw_hw.Platform.costs in
-  let tr = (Sched.obs t.k).Iw_obs.Obs.trace in
-  let tron = tr.Iw_obs.Trace.enabled in
-  let share_cpu = if tron then Api.cpu_id () else -1 in
-  let share_start = if tron then Api.now () else 0 in
-  if t.mode = Pik then Api.overhead pik_shim;
-  let fetch_cost =
-    costs.atomic_rmw + if t.nthreads > 1 then costs.cache_line_remote else 0
-  in
-  (match r.r_sched with
-  | Static ->
-      let lo = wid * r.r_iters / t.nthreads in
-      let hi = (wid + 1) * r.r_iters / t.nthreads in
-      if hi > lo then begin
-        t.nchunks <- t.nchunks + 1;
-        consume_chunk tr (sum_cycles r.r_cycles lo hi)
-      end
-  | Dynamic chunk ->
-      let chunk = max 1 chunk in
-      let rec grab () =
-        Api.overhead fetch_cost;
-        if r.r_next < r.r_iters then begin
-          let lo = r.r_next in
-          let hi = min r.r_iters (lo + chunk) in
-          r.r_next <- hi;
-          t.nchunks <- t.nchunks + 1;
-          consume_chunk tr (sum_cycles r.r_cycles lo hi);
-          grab ()
-        end
-      in
-      grab ()
-  | Guided min_chunk ->
-      let min_chunk = max 1 min_chunk in
-      let rec grab () =
-        Api.overhead fetch_cost;
-        if r.r_next < r.r_iters then begin
-          let remaining = r.r_iters - r.r_next in
-          let chunk = max min_chunk (remaining / (2 * t.nthreads)) in
-          let lo = r.r_next in
-          let hi = min r.r_iters (lo + chunk) in
-          r.r_next <- hi;
-          t.nchunks <- t.nchunks + 1;
-          consume_chunk tr (sum_cycles r.r_cycles lo hi);
-          grab ()
-        end
-      in
-      grab ());
-  (* The worker's whole share of the region, enclosing its chunk
-     spans (and the hw grant spans inside them) on this CPU's track;
-     emitted after the chunks, as the profiler's tie-break expects. *)
-  if tron then
-    Iw_obs.Trace.span tr ~name:"omp_share" ~cat:"omp" ~cpu:share_cpu
-      ~ts:share_start
-      ~dur:(Api.now () - share_start)
-      ()
+let overhead m c =
+  m.work <- false;
+  c
 
-(* Barrier arrival.  Barrier_drop injection: the arrival increment is
-   lost (a dropped cache-line update), so the master would spin
-   forever on [arrived < nthreads]; the lost count is kept so the
-   master's barrier audit — the recovery, one layer up — can find it. *)
-let arrive t =
-  let costs = (Sched.platform t.k).Iw_hw.Platform.costs in
-  Api.overhead (costs.atomic_rmw + costs.cache_line_remote);
+let fetch_cost t =
+  let c = costs t in
+  c.atomic_rmw + if t.nthreads > 1 then c.cache_line_remote else 0
+
+let fetch t m =
+  m.ph <- Fetched;
+  overhead m (fetch_cost t)
+
+let chunk_size t r =
+  match r.r_sched with
+  | Static -> assert false  (* static shares never fetch *)
+  | Dynamic chunk -> max 1 chunk
+  | Guided min_chunk ->
+      max (max 1 min_chunk) ((r.r_iters - r.r_next) / (2 * t.nthreads))
+
+(* Claim iterations [lo, hi) as one chunk: its work is what the member
+   is charged next. *)
+let run_chunk t r m lo hi =
+  t.nchunks <- t.nchunks + 1;
+  let cycles = sum_cycles r.r_cycles lo hi in
+  if tracing t then m.chunk_start <- Sched.now t.k;
+  m.ph <- Ran;
+  m.work <- true;
+  cycles
+
+(* The member's whole share of the region, enclosing its chunk spans
+   (and the hw grant spans inside them) on its CPU's track; emitted
+   after the chunks, as the profiler's tie-break expects. *)
+let end_share t m =
+  let tr = trace t in
+  if tr.Iw_obs.Trace.enabled then
+    Iw_obs.Trace.span tr ~name:"omp_share" ~cat:"omp" ~cpu:m.cpu
+      ~ts:m.share_start
+      ~dur:(Sched.now t.k - m.share_start)
+      ();
+  -1
+
+(* Advance member [m]'s share of [r] from phase [m.ph]: do what is due
+   now and return the cycles to charge next ([m.work] tells work from
+   overhead), or -1 when the share is over.  Static takes one
+   contiguous block; Dynamic and Guided pay a fetch before every
+   claim, the last one finding the loop drained. *)
+let rec share_next t r m =
+  match m.ph with
+  | Begin ->
+      if tracing t then m.share_start <- Sched.now t.k;
+      m.ph <- First;
+      if t.mode = Pik then overhead m pik_shim else share_next t r m
+  | First -> (
+      match r.r_sched with
+      | Static ->
+          let lo = m.wid * r.r_iters / t.nthreads in
+          let hi = (m.wid + 1) * r.r_iters / t.nthreads in
+          if hi > lo then run_chunk t r m lo hi else end_share t m
+      | Dynamic _ | Guided _ -> fetch t m)
+  | Fetched ->
+      if r.r_next < r.r_iters then begin
+        let lo = r.r_next in
+        let hi = min r.r_iters (lo + chunk_size t r) in
+        r.r_next <- hi;
+        run_chunk t r m lo hi
+      end
+      else end_share t m
+  | Ran -> (
+      let tr = trace t in
+      if tr.Iw_obs.Trace.enabled then
+        Iw_obs.Trace.span tr ~name:"omp_chunk" ~cat:"omp" ~cpu:m.cpu
+          ~ts:m.chunk_start
+          ~dur:(Sched.now t.k - m.chunk_start)
+          ();
+      match r.r_sched with
+      | Static -> end_share t m
+      | Dynamic _ | Guided _ -> fetch t m)
+  | Await | Arrive -> invalid_arg "Omp: share_next outside a share"
+
+(* Barrier arrival: [arrive_cost] is paid first, then [count_arrival].
+   Barrier_drop injection: the arrival increment is lost (a dropped
+   cache-line update), so the master would spin forever on
+   [arrived < nthreads]; the lost count is kept so the master's
+   barrier audit — the recovery, one layer up — can find it. *)
+let arrive_cost t =
+  let c = costs t in
+  c.atomic_rmw + c.cache_line_remote
+
+let count_arrival t m =
   let plan = Iw_faults.Plan.ambient () in
   if
     Iw_faults.Plan.enabled plan
     && Iw_faults.Plan.fire plan (Sched.obs t.k)
-         ~kind:Iw_faults.Plan.Barrier_drop ~cpu:(Api.cpu_id ()) ~ts:(Api.now ())
+         ~kind:Iw_faults.Plan.Barrier_drop ~cpu:m.cpu ~ts:(Sched.now t.k)
   then t.lost <- t.lost + 1
   else t.arrived <- t.arrived + 1
 
-let worker_body t wid () =
-  let rec await gen spins =
-    if not t.stopping then begin
-      if t.gen >= gen then begin
-        (match t.region with Some r -> run_share t r wid | None -> ());
-        arrive t;
-        await (gen + 1) 0
+(* A team worker as a flat thread: poll the generation with lazier
+   and lazier spins, run its share of each released region, arrive,
+   and exit once the team is stopping. *)
+let rec worker_step t m f () =
+  match m.ph with
+  | Await ->
+      if t.stopping then Sched.flat_exit t.k f
+      else if t.gen >= m.gen then begin
+        match t.region with
+        | Some _ ->
+            m.ph <- Begin;
+            worker_step t m f ()
+        | None ->
+            m.ph <- Arrive;
+            Sched.flat_overhead t.k f (arrive_cost t)
       end
       else begin
-        Api.overhead (poll_cost spins);
-        await gen (spins + 1)
+        let c = poll_cost m.spins in
+        m.spins <- m.spins + 1;
+        Sched.flat_overhead t.k f c
       end
-    end
-  in
-  await 1 0
+  | Arrive ->
+      count_arrival t m;
+      m.gen <- m.gen + 1;
+      m.spins <- 0;
+      m.ph <- Await;
+      worker_step t m f ()
+  | Begin | First | Fetched | Ran -> (
+      match t.region with
+      | None -> invalid_arg "Omp: region withdrawn mid-share"
+      | Some r ->
+          let c = share_next t r m in
+          if c < 0 then begin
+            m.ph <- Arrive;
+            Sched.flat_overhead t.k f (arrive_cost t)
+          end
+          else if m.work then Sched.flat_work t.k f c
+          else Sched.flat_overhead t.k f c)
+
+let member wid =
+  {
+    wid;
+    cpu = wid;
+    ph = Await;
+    gen = 1;
+    spins = 0;
+    work = false;
+    share_start = 0;
+    chunk_start = 0;
+  }
 
 let create k mode ~nthreads =
   if nthreads < 1 then invalid_arg "Omp.create: nthreads < 1";
@@ -174,6 +260,7 @@ let create k mode ~nthreads =
       arrived = 0;
       lost = 0;
       team = [];
+      master = { (member 0) with cpu = -1 };
       tasks = (match mode with Cck -> Some (Task.create k ()) | _ -> None);
       stopping = false;
       nregions = 0;
@@ -186,16 +273,37 @@ let create k mode ~nthreads =
       t.team <-
         List.init (nthreads - 1) (fun i ->
             let wid = i + 1 in
-            Sched.spawn k
-              ~spec:
-                {
-                  Sched.sp_name = Printf.sprintf "omp-%d" wid;
-                  sp_cpu = Some wid;
-                  sp_fp = true;
-                  sp_rt = false;
-                }
-              (worker_body t wid)));
+            let f =
+              Sched.spawn_flat k
+                ~spec:
+                  {
+                    Sched.sp_name = Printf.sprintf "omp-%d" wid;
+                    sp_cpu = Some wid;
+                    sp_fp = true;
+                    sp_rt = false;
+                  }
+                ()
+            in
+            Sched.set_flat_step f (worker_step t (member wid) f);
+            Sched.flat_thread f));
   t
+
+(* The master's share, driven through the same state machine with
+   coroutine requests. *)
+let master_share t r =
+  let m = t.master in
+  if m.cpu < 0 then m.cpu <- Api.cpu_id ();
+  m.ph <- Begin;
+  let rec go () =
+    let c = share_next t r m in
+    if c >= 0 then begin
+      if m.work then Coro.consume c else Api.overhead c;
+      go ()
+    end
+  in
+  go ();
+  Api.overhead (arrive_cost t);
+  count_arrival t m
 
 let parallel_for t ?(schedule = Static) ~iters ~iter_cycles () =
   if iters < 0 then invalid_arg "Omp.parallel_for: negative iters";
@@ -239,8 +347,7 @@ let parallel_for t ?(schedule = Static) ~iters ~iter_cycles () =
          team observes; not a per-worker syscall chain. *)
       Api.overhead (costs.atomic_rmw + costs.cache_line_remote);
       t.gen <- t.gen + 1;
-      run_share t r 0;
-      arrive t;
+      master_share t r;
       (* Implicit barrier: the master waits for every team member.
          Recovery for dropped arrivals lives here, one layer above the
          injection: once the polling has gone lazy (the team should

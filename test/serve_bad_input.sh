@@ -27,4 +27,15 @@ check --machines 2 --slo-us 100 --slo-target 0
 check --slo-target 1.5
 check --rps 0
 check --machines 2 --rps=-5
+check --machines 2 --net-lat 0
+check --machines 2 --net-lat 0.001
+check --hi-frac=-1
+check --hi-frac 2
+check --sample-us=-1
+check --machines 2 --gossip-us=-1
+check --machines 2 --deadline-us=-5
+check --slo-us=-5
+check --work-us=-5
+check --closed 4 --think-us=-1
+check --machines=-2
 exit $status

@@ -88,6 +88,47 @@ let test_deque_lifo_owner_fifo_thief () =
   check_int "last" 2 (Option.get (Deque.pop_bottom d));
   check_bool "empty" true (Deque.pop_bottom d = None && Deque.steal_top d = None)
 
+(* Random push/pop/steal sequences against a list model (newest
+   first).  Three pushes to each pop and steal, so the ring both wraps
+   and grows past its initial 8 slots. *)
+let prop_deque_model =
+  QCheck.Test.make ~name:"deque agrees with a list model" ~count:200
+    QCheck.(list_of_size Gen.(int_range 0 300) (pair (int_bound 4) small_nat))
+    (fun ops ->
+      let d = Deque.create () in
+      let model = ref [] in
+      List.for_all
+        (fun (op, x) ->
+          let agree =
+            match op with
+            | 0 | 1 | 2 ->
+                Deque.push_bottom d x;
+                model := x :: !model;
+                true
+            | 3 ->
+                let expect =
+                  match !model with
+                  | [] -> None
+                  | y :: rest ->
+                      model := rest;
+                      Some y
+                in
+                Deque.pop_bottom d = expect
+            | _ ->
+                let expect =
+                  match List.rev !model with
+                  | [] -> None
+                  | y :: rest ->
+                      model := List.rev rest;
+                      Some y
+                in
+                Deque.steal_top d = expect
+          in
+          agree
+          && Deque.length d = List.length !model
+          && Deque.is_empty d = (!model = []))
+        ops)
+
 (* ------------------------------------------------------------------ *)
 (* TPAL *)
 
@@ -246,6 +287,32 @@ let test_tree_skewed_completes () =
   in
   check_int "all nodes" (Tpal_tree.total_nodes b) r.nodes_run
 
+(* The periodic path allocates nothing in steady state: a 1/5-size
+   spmv on 16 workers at 20 us heartbeats, measured over the whole
+   [Tpal.run] (so the per-run set-up is included) and divided by the
+   heartbeats delivered.  Coroutine workers and per-send IPI closures
+   read ~135 (IPI) and ~151 (signal); the flat path reads ~3 and ~9,
+   where the signal driver's rest is its jitter draws returning boxed
+   floats across modules (none under cross-module inlining). *)
+let test_alloc_per_delivery () =
+  let b =
+    {
+      Tpal.spmv with
+      ranges = List.map (fun r -> { r with Tpal.items = r.Tpal.items / 5 }) Tpal.spmv.ranges;
+    }
+  in
+  List.iter
+    (fun (driver, budget) ->
+      let before = Gc.minor_words () in
+      let r =
+        Tpal.run Iw_hw.Platform.knl { workers = 16; heartbeat_us = 20.0; driver; seed = 1 } b
+      in
+      let words = (Gc.minor_words () -. before) /. float_of_int r.deliveries in
+      check_bool
+        (Printf.sprintf "%s: %.2f minor words/delivery <= %.0f" r.os words budget)
+        true (words <= budget))
+    [ (Tpal.Nk_ipi, 6.0); (Tpal.Linux_signal, 18.0) ]
+
 let test_suite_benches_well_formed () =
   List.iter
     (fun (b : Tpal.bench) ->
@@ -266,7 +333,10 @@ let () =
             test_itimer_coalesces_overruns;
         ] );
       ( "deque",
-        [ Alcotest.test_case "lifo/fifo ends" `Quick test_deque_lifo_owner_fifo_thief ] );
+        [
+          Alcotest.test_case "lifo/fifo ends" `Quick test_deque_lifo_owner_fifo_thief;
+          QCheck_alcotest.to_alcotest prop_deque_model;
+        ] );
       ( "tpal",
         [
           Alcotest.test_case "completes all items" `Quick
@@ -281,6 +351,7 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_tpal_deterministic;
           Alcotest.test_case "suite well-formed" `Quick
             test_suite_benches_well_formed;
+          Alcotest.test_case "allocation budget" `Quick test_alloc_per_delivery;
         ] );
       ( "tpal-faults",
         [

@@ -207,11 +207,14 @@ let test_ipi_broadcast_reaches_all () =
   let s = Sim.create () in
   let targets = List.init 3 (fun i -> Cpu.create s ~id:i) in
   let hit = Array.make 3 (-1) in
-  Ipi.broadcast s plat ~targets
-    ~handler:(fun cid ~preempted:_ ->
-      hit.(cid) <- Sim.now s;
-      0)
-    ~after:(fun _ -> ());
+  let g =
+    Ipi.group s plat ~targets
+      ~handler:(fun cid ~preempted:_ ->
+        hit.(cid) <- Sim.now s;
+        0)
+      ~after:(fun _ -> ())
+  in
+  Ipi.fire g;
   Sim.run s;
   Array.iter
     (fun at ->

@@ -138,6 +138,23 @@ let test_region_count () =
          Runtime.shutdown t));
   Sched.run k
 
+(* The team's polling, worksharing and barrier path allocates nothing
+   in steady state; what is left per region is the master's (a
+   coroutine) and the per-run set-up, over BT's 40 regions.  A
+   coroutine team reads ~14k (RTK) and ~27k (Linux) words per region;
+   the flat team ~950 and ~1400. *)
+let test_alloc_per_region () =
+  List.iter
+    (fun (mode, budget) ->
+      let before = Gc.minor_words () in
+      let r = Nas.run Iw_hw.Platform.knl mode ~nthreads:32 Nas.bt in
+      let words = (Gc.minor_words () -. before) /. float_of_int r.regions_run in
+      check_bool
+        (Printf.sprintf "%s: %.0f minor words/region <= %.0f" (Runtime.mode_name mode) words
+           budget)
+        true (words <= budget))
+    [ (Runtime.Rtk, 2000.0); (Runtime.Linux_user, 3000.0) ]
+
 let () =
   Alcotest.run "omp"
     [
@@ -168,5 +185,6 @@ let () =
             test_epcc_all_modes_including_cck;
           Alcotest.test_case "cg dynamic bench" `Quick
             test_cg_dynamic_bench_runs;
+          Alcotest.test_case "allocation budget" `Quick test_alloc_per_region;
         ] );
     ]
